@@ -74,7 +74,7 @@ void BM_HaloExchangeShallow(benchmark::State& state) {
       mesh::DomainDecomp d(mesh, {1, 2, 2}, topo.coords);
       state::State s(d.lnx(), d.lny(), d.lnz(), core::halos_for_depth(1));
       s.fill(1.0);
-      core::HaloExchanger ex(ctx, topo, d);
+      core::HaloExchanger ex(ctx, topo);
       std::vector<core::ExchangeItem> items{
           {&s.u(), nullptr, 0, 2, 1},
           {&s.v(), nullptr, 0, 2, 1},
@@ -96,7 +96,7 @@ void BM_HaloExchangeDeep(benchmark::State& state) {
       mesh::DomainDecomp d(mesh, {1, 2, 1}, topo.coords);
       state::State s(d.lnx(), d.lny(), d.lnz(), core::halos_for_depth(9));
       s.fill(1.0);
-      core::HaloExchanger ex(ctx, topo, d);
+      core::HaloExchanger ex(ctx, topo);
       std::vector<core::ExchangeItem> items{
           {&s.u(), nullptr, 0, 10, 0},
           {&s.v(), nullptr, 0, 10, 0},

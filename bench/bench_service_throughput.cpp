@@ -1,4 +1,4 @@
-// Wall-clock benchmark of the ensemble service: seven job mixes over one
+// Wall-clock benchmark of the ensemble service: six job mixes over one
 // rank pool, emitting BENCH_service.json.
 //
 //   uniform        identical medium jobs; measures raw multiplexing
@@ -19,11 +19,6 @@
 //                  >= 2 jobs in flight (scheduling never pauses for the
 //                  recovery), and the victim still lands bit-for-bit on
 //                  the fault-free trajectory
-//   overlap        a stream of comm.overlap_exchange jobs (async halo
-//                  posts drained per boundary sub-range); the probe job
-//                  must land bit-for-bit on an overlap-off solo run of
-//                  the same spec — overlap changes the schedule, never
-//                  the answer
 //   replicated_failover
 //                  the rank_failure scenario with in-memory buddy
 //                  replication on: the victim must recover from buddy
@@ -185,8 +180,8 @@ std::string validate_bench(const util::Json& doc) {
       schema->as_string() != kSchema)
     return "missing/wrong schema tag";
   const util::Json* mixes = doc.find("mixes");
-  if (mixes == nullptr || !mixes->is_array() || mixes->size() != 7)
-    return "expected exactly seven mixes";
+  if (mixes == nullptr || !mixes->is_array() || mixes->size() != 6)
+    return "expected exactly six mixes";
   for (const auto& m : mixes->items()) {
     const util::Json* name = m.find("name");
     if (name == nullptr || !name->is_string()) return "mix missing name";
@@ -497,54 +492,7 @@ int main(int argc, char** argv) {
     mixes.push_back(std::move(mix));
   }
 
-  // --- mix 5: overlap --------------------------------------------------
-  {
-    MixOutcome mix;
-    mix.name = "overlap";
-    core::DycoreConfig ocfg = cfg;
-    ocfg.overlap_exchange = true;
-    service::JobSpec probe =
-        original_job(ocfg, "overlap0", uniform_steps, {1, 2, 1}, 0);
-    // Bitwise reference: the SAME spec with overlap off, run solo.  The
-    // async posts and per-face drains must be invisible to the numerics.
-    service::JobSpec ref = probe;
-    ref.config.overlap_exchange = false;
-    const state::State solo = solo_state(ref, dir + "/solo_overlap");
-
-    service::EnsembleService svc(opt);
-    const auto start = Clock::now();
-    std::vector<int> ids;
-    for (int i = 0; i < 4; ++i)
-      ids.push_back(svc.submit(original_job(
-          ocfg, "overlap" + std::to_string(i), uniform_steps, {1, 2, 1}, 0)));
-    svc.drain();
-    mix.wall = seconds_since(start);
-    summarize(mix, svc, ids);
-    if (mix.completed != static_cast<int>(ids.size())) {
-      std::fprintf(stderr, "FAIL: overlap completed %d/%zu jobs\n",
-                   mix.completed, ids.size());
-      mix.ok = false;
-    }
-    const service::JobResult r = svc.result(ids.front());
-    if (r.state == service::JobState::kCompleted) {
-      const double diff = state::State::max_abs_diff(r.final_state, solo,
-                                                     solo.interior());
-      if (diff != 0.0) {
-        std::fprintf(stderr,
-                     "FAIL: overlap-on job diverged from the overlap-off "
-                     "solo (max |diff| = %g)\n",
-                     diff);
-        mix.ok = false;
-      }
-    }
-    if (service_metric(mix, "max_concurrent_jobs") < 2.0) {
-      std::fprintf(stderr, "FAIL: overlap never had >= 2 jobs in flight\n");
-      mix.ok = false;
-    }
-    mixes.push_back(std::move(mix));
-  }
-
-  // --- mix 6: replicated_failover --------------------------------------
+  // --- mix 5: replicated_failover --------------------------------------
   {
     MixOutcome mix;
     mix.name = "replicated_failover";
@@ -701,7 +649,7 @@ int main(int argc, char** argv) {
     mixes.push_back(std::move(mix));
   }
 
-  // --- mix 7: bursty_elastic -------------------------------------------
+  // --- mix 6: bursty_elastic -------------------------------------------
   {
     MixOutcome mix;
     mix.name = "bursty_elastic";

@@ -1,15 +1,16 @@
 // Real-time (wall-clock) benchmark of the functional cores: steps the
 // serial, original, and communication-avoiding dynamical cores on a small
-// mesh across 1xN / Nx1 / NxM process grids, in both halo-exchange
-// granularities (per-item and coalesced) and with the fault-injection
+// mesh across 1xN / Nx1 / NxM process grids, with the fault-injection
 // layer off and on, then emits BENCH_wallclock.json.
 //
 // Unlike the figure benches this measures THIS machine, not the event
 // simulator: per-phase seconds come from each rank's util::PhaseTimers,
 // message/byte counts from comm::CommStats, and buffer-pool behavior from
-// CommStats::pool().  Every coalesced run is checked bitwise against its
-// per-item twin, and the steady-state window (after warm-up) must perform
-// zero pool-growing acquires.
+// CommStats::pool().  Each case reports its slowest rank's split of the
+// measured wall clock into exchange, exchange_wait, collective and compute
+// (that rank's remainder, which must be positive).  The faulted run is
+// checked bitwise against its fault-free twin, and the steady-state window
+// (after warm-up) must perform zero pool-growing acquires.
 //
 // A final section measures checkpoint bytes per cadence: delta sidecar
 // chains (util::CheckpointSession) against full-every-cadence writes, on
@@ -66,16 +67,18 @@ struct BenchCase {
   CoreKind core = CoreKind::kSerial;
   core::DecompScheme scheme = core::DecompScheme::kYZ;
   std::array<int, 3> dims{1, 1, 1};
-  bool coalesce = false;
   bool faults = false;
-  bool overlap = false;  // comm.overlap_exchange: async post + sub-ranges
 };
 
 struct RunResult {
-  double wall = 0.0;       // slowest rank's measured-step seconds
-  double exchange = 0.0;   // pack/unpack seconds, max over ranks
-  double exchange_wait = 0.0;  // blocked-on-message seconds, max over ranks
-  double collective = 0.0; // max over ranks
+  // The slowest rank's measured steps: its wall clock, and that rank's
+  // pack/unpack, blocked-on-message and collective seconds; compute is the
+  // rest of its wall clock.
+  double wall = 0.0;
+  double exchange = 0.0;
+  double exchange_wait = 0.0;
+  double collective = 0.0;
+  double compute = 0.0;
   std::uint64_t messages = 0, bytes = 0, collectives = 0;  // summed
   std::uint64_t pool_allocations = 0, pool_reuses = 0;     // summed
   std::uint64_t steady_allocations = 0;  // pool growth after warm-up
@@ -97,6 +100,7 @@ RunResult run_case(const core::DycoreConfig& cfg, const BenchCase& bc,
     util::Timer timer;
     core.run(xi, steps);
     res.wall = timer.seconds();
+    res.compute = res.wall;
     res.global = std::move(xi);
     return res;
   }
@@ -106,9 +110,6 @@ RunResult run_case(const core::DycoreConfig& cfg, const BenchCase& bc,
   opts.faults = plan;
   std::mutex mu;
   comm::Runtime::run(p, opts, [&](comm::Context& ctx) {
-    core::DycoreConfig c = cfg;
-    c.coalesce_exchange = bc.coalesce;
-    c.overlap_exchange = bc.overlap;
     auto drive = [&](auto& core) {
       auto xi = core.make_state();
       core.initialize(xi, ic);
@@ -121,17 +122,21 @@ RunResult run_case(const core::DycoreConfig& cfg, const BenchCase& bc,
       util::Timer timer;
       core.run(xi, steps);
       const double wall = timer.seconds();
+      const double exchange = ctx.timers().total("exchange");
+      const double exchange_wait = ctx.timers().total("exchange_wait");
+      const double collective = ctx.timers().total("collective");
       state::State global =
           core::gather_global(core.op_context(), ctx, core.topology(), xi);
       const auto totals = ctx.stats().grand_totals();
       const auto& pool = ctx.stats().pool();
       std::lock_guard<std::mutex> lock(mu);
-      res.wall = std::max(res.wall, wall);
-      res.exchange = std::max(res.exchange, ctx.timers().total("exchange"));
-      res.exchange_wait =
-          std::max(res.exchange_wait, ctx.timers().total("exchange_wait"));
-      res.collective =
-          std::max(res.collective, ctx.timers().total("collective"));
+      if (wall > res.wall) {
+        res.wall = wall;
+        res.exchange = exchange;
+        res.exchange_wait = exchange_wait;
+        res.collective = collective;
+        res.compute = wall - exchange - exchange_wait - collective;
+      }
       res.messages += totals.p2p_messages;
       res.bytes += totals.p2p_bytes;
       res.collectives += totals.collective_calls;
@@ -142,10 +147,10 @@ RunResult run_case(const core::DycoreConfig& cfg, const BenchCase& bc,
       if (ctx.world_rank() == 0) res.global = std::move(global);
     };
     if (bc.core == CoreKind::kOriginal) {
-      core::OriginalCore core(c, ctx, bc.scheme, bc.dims);
+      core::OriginalCore core(cfg, ctx, bc.scheme, bc.dims);
       drive(core);
     } else {
-      core::CACore core(c, ctx, bc.dims);
+      core::CACore core(cfg, ctx, bc.dims);
       drive(core);
     }
   });
@@ -234,7 +239,7 @@ int main(int argc, char** argv) {
   cfg.ny = cfg_in.get_int("ny", 32);
   cfg.nz = cfg_in.get_int("nz", 8);
   cfg.M = cfg_in.get_int("m", 2);
-  // Ordered z reduction keeps the per-item/coalesced comparison bitwise.
+  // Ordered z reduction keeps the faulted/fault-free comparison bitwise.
   cfg.z_allreduce = comm::AllreduceAlgorithm::kLinearOrdered;
   const int steps = cfg_in.get_int("steps", 2);
   // Two warm-up steps: the CA core's first step exchanges a smaller item
@@ -251,68 +256,34 @@ int main(int argc, char** argv) {
 
   // 1xN, Nx1, and NxM grids (the CA core requires px == 1, so the Nx1
   // x-decomposition runs on the original core).  Labels carry the full
-  // px x py x pz so per-item/coalesced twins pair up unambiguously.
+  // px x py x pz.
   auto dims_tag = [](std::array<int, 3> d) {
     return std::to_string(d[0]) + "x" + std::to_string(d[1]) + "x" +
            std::to_string(d[2]);
   };
+  const std::array<int, 3> yz1{1, ranks, 1};
+  const std::array<int, 3> xy{ranks, 1, 1};
+  const std::array<int, 3> yz2{1, ranks / 2, 2};
   std::vector<BenchCase> cases;
   cases.push_back({"serial", CoreKind::kSerial});
-  for (bool coalesce : {false, true}) {
-    const char* tag = coalesce ? "_coalesced" : "";
-    const std::array<int, 3> yz1{1, ranks, 1};
-    const std::array<int, 3> xy{ranks, 1, 1};
-    const std::array<int, 3> yz2{1, ranks / 2, 2};
-    cases.push_back({"original_yz_" + dims_tag(yz1) + tag,
-                     CoreKind::kOriginal, core::DecompScheme::kYZ, yz1,
-                     coalesce});
-    cases.push_back({"original_xy_" + dims_tag(xy) + tag,
-                     CoreKind::kOriginal, core::DecompScheme::kXY, xy,
-                     coalesce});
-    cases.push_back({"original_yz_" + dims_tag(yz2) + tag,
-                     CoreKind::kOriginal, core::DecompScheme::kYZ, yz2,
-                     coalesce});
-    cases.push_back({"ca_yz_" + dims_tag(yz1) + tag, CoreKind::kCA,
-                     core::DecompScheme::kYZ, yz1, coalesce});
-  }
-  // Overlap (comm.overlap_exchange): the same grids with the exchange
-  // posted at pass start and drained per boundary sub-range, so the wait
-  // for each message hides behind the interior compute.  Counts and the
-  // final state must match the off twin exactly; only the split between
-  // exchange_wait and compute may move.
-  {
-    const std::array<int, 3> yz1{1, ranks, 1};
-    const std::array<int, 3> xy{ranks, 1, 1};
-    const std::array<int, 3> yz2{1, ranks / 2, 2};
-    cases.push_back({"original_yz_" + dims_tag(yz1) + "_overlap",
-                     CoreKind::kOriginal, core::DecompScheme::kYZ, yz1,
-                     false, false, /*overlap=*/true});
-    cases.push_back({"original_xy_" + dims_tag(xy) + "_overlap",
-                     CoreKind::kOriginal, core::DecompScheme::kXY, xy,
-                     false, false, /*overlap=*/true});
-    cases.push_back({"original_yz_" + dims_tag(yz2) + "_overlap",
-                     CoreKind::kOriginal, core::DecompScheme::kYZ, yz2,
-                     false, false, /*overlap=*/true});
-    cases.push_back({"ca_yz_" + dims_tag(yz1) + "_overlap", CoreKind::kCA,
-                     core::DecompScheme::kYZ, yz1, false, false,
-                     /*overlap=*/true});
-    cases.push_back({"ca_yz_" + dims_tag(yz1) + "_coalesced_overlap",
-                     CoreKind::kCA, core::DecompScheme::kYZ, yz1, true,
-                     false, /*overlap=*/true});
-  }
+  cases.push_back({"original_yz_" + dims_tag(yz1), CoreKind::kOriginal,
+                   core::DecompScheme::kYZ, yz1});
+  cases.push_back({"original_xy_" + dims_tag(xy), CoreKind::kOriginal,
+                   core::DecompScheme::kXY, xy});
+  cases.push_back({"original_yz_" + dims_tag(yz2), CoreKind::kOriginal,
+                   core::DecompScheme::kYZ, yz2});
+  cases.push_back({"ca_yz_" + dims_tag(yz1), CoreKind::kCA,
+                   core::DecompScheme::kYZ, yz1});
   // Fault-layer overhead: recoverable delay + duplicate injection on the
-  // CA core, both granularities (recovery must preserve the answer).
-  for (bool coalesce : {false, true}) {
-    cases.push_back({"ca_yz_" + dims_tag({1, ranks, 1}) +
-                         (coalesce ? "_coalesced" : "") + "_faults",
-                     CoreKind::kCA, core::DecompScheme::kYZ, {1, ranks, 1},
-                     coalesce, /*faults=*/true});
-  }
+  // CA core (recovery must preserve the answer bitwise).
+  cases.push_back({"ca_yz_" + dims_tag(yz1) + "_faults", CoreKind::kCA,
+                   core::DecompScheme::kYZ, yz1, /*faults=*/true});
 
   std::printf("wall-clock bench: %dx%dx%d, M=%d, %d+%d steps, %d ranks\n\n",
               cfg.nx, cfg.ny, cfg.nz, cfg.M, warmup, steps, ranks);
-  std::printf("%-34s %9s %9s %9s %9s %9s %7s\n", "config", "wall[ms]",
-              "exch[ms]", "wait[ms]", "coll[ms]", "msgs", "pool+");
+  std::printf("%-24s %9s %9s %9s %9s %9s %9s %7s\n", "config", "wall[ms]",
+              "exch[ms]", "wait[ms]", "coll[ms]", "comp[ms]", "msgs",
+              "pool+");
 
   util::Json doc = util::Json::object();
   doc["schema"] = kSchema;
@@ -327,8 +298,6 @@ int main(int argc, char** argv) {
   doc["ranks"] = ranks;
   util::Json configs = util::Json::array();
 
-  // Per-item twins of each coalesced case, for the bitwise check.
-  std::vector<std::pair<std::string, const state::State*>> references;
   std::vector<RunResult> results(cases.size());
   bool ok = true;
 
@@ -350,41 +319,36 @@ int main(int argc, char** argv) {
         run_case(cfg, bc, warmup, steps, bc.faults ? &plan : nullptr);
     RunResult& r = results[i];
 
-    // Compare against the per-item twin: same case label minus the
-    // "_coalesced" / "_faults" decorations.
-    double diff_vs_per_item = -1.0;
-    if (bc.core != CoreKind::kSerial) {
-      std::string base = bc.label;
-      auto strip = [&](const std::string& suffix) {
-        const auto at = base.find(suffix);
-        if (at != std::string::npos) base.erase(at, suffix.size());
-      };
-      strip("_faults");
-      strip("_overlap");
-      strip("_coalesced");
-      if (base == bc.label) {
-        references.emplace_back(base, &r.global);
-      } else {
-        for (const auto& [label, ref] : references) {
-          if (label != base) continue;
-          diff_vs_per_item = state::State::max_abs_diff(
-              r.global, *ref, ref->interior());
-          if (diff_vs_per_item != 0.0) {
-            std::fprintf(stderr,
-                         "FAIL: %s differs from %s (max |diff| = %g)\n",
-                         bc.label.c_str(), base.c_str(), diff_vs_per_item);
-            ok = false;
-          }
-          break;
+    // A faulted run must land bitwise on the fault-free run of its grid.
+    double diff_vs_fault_free = -1.0;
+    if (bc.faults) {
+      for (std::size_t j = 0; j < i; ++j) {
+        if (cases[j].faults || cases[j].core != bc.core ||
+            cases[j].dims != bc.dims)
+          continue;
+        diff_vs_fault_free = state::State::max_abs_diff(
+            r.global, results[j].global, results[j].global.interior());
+        if (diff_vs_fault_free != 0.0) {
+          std::fprintf(stderr,
+                       "FAIL: %s differs from %s (max |diff| = %g)\n",
+                       bc.label.c_str(), cases[j].label.c_str(),
+                       diff_vs_fault_free);
+          ok = false;
         }
+        break;
       }
     }
+    // Per-rank phases are disjoint windows inside that rank's measured
+    // steps, so a remainder <= 0 means the accounting itself is broken.
+    if (r.compute <= 0.0) {
+      std::fprintf(stderr, "FAIL: %s compute seconds %g <= 0\n",
+                   bc.label.c_str(), r.compute);
+      ok = false;
+    }
 
-    const double compute = std::max(
-        0.0, r.wall - r.exchange - r.exchange_wait - r.collective);
-    std::printf("%-34s %9.2f %9.2f %9.2f %9.2f %9llu %7llu\n",
+    std::printf("%-24s %9.2f %9.2f %9.2f %9.2f %9.2f %9llu %7llu\n",
                 bc.label.c_str(), 1e3 * r.wall, 1e3 * r.exchange,
-                1e3 * r.exchange_wait, 1e3 * r.collective,
+                1e3 * r.exchange_wait, 1e3 * r.collective, 1e3 * r.compute,
                 static_cast<unsigned long long>(r.messages),
                 static_cast<unsigned long long>(r.steady_allocations));
 
@@ -395,16 +359,14 @@ int main(int argc, char** argv) {
     util::Json dims = util::Json::array();
     for (int d : bc.dims) dims.push_back(d);
     entry["dims"] = std::move(dims);
-    entry["coalesce"] = bc.coalesce;
     entry["faults"] = bc.faults;
-    entry["overlap"] = bc.overlap;
     entry["wall_seconds"] = r.wall;
     entry["per_step_seconds"] = r.wall / steps;
     util::Json phases = util::Json::object();
     phases["exchange"] = r.exchange;
     phases["exchange_wait"] = r.exchange_wait;
     phases["collective"] = r.collective;
-    phases["compute"] = compute;
+    phases["compute"] = r.compute;
     entry["phases"] = std::move(phases);
     util::Json comm = util::Json::object();
     comm["messages"] = r.messages;
@@ -417,17 +379,15 @@ int main(int argc, char** argv) {
     pool["reuses"] = r.pool_reuses;
     pool["steady_state_allocations"] = r.steady_allocations;
     entry["pool"] = std::move(pool);
-    if (diff_vs_per_item >= 0.0) {
-      entry["max_abs_diff_vs_per_item"] = diff_vs_per_item;
-      entry["bitwise_identical"] = diff_vs_per_item == 0.0;
+    if (diff_vs_fault_free >= 0.0) {
+      entry["max_abs_diff_vs_fault_free"] = diff_vs_fault_free;
+      entry["bitwise_identical"] = diff_vs_fault_free == 0.0;
     }
     configs.push_back(std::move(entry));
   }
   doc["configs"] = std::move(configs);
 
-  // Cross-mode invariants beyond the bitwise check: coalescing must cut
-  // messages per exchange round, and the steady-state window must not
-  // grow any pool.
+  // The steady-state window must not grow any pool.
   for (std::size_t i = 0; i < cases.size(); ++i) {
     if (cases[i].core == CoreKind::kSerial || cases[i].faults) continue;
     if (results[i].steady_allocations != 0) {
@@ -437,45 +397,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(
                        results[i].steady_allocations));
       ok = false;
-    }
-    if (!cases[i].coalesce) continue;
-    for (std::size_t j = 0; j < cases.size(); ++j) {
-      if (cases[j].faults || cases[j].coalesce) continue;
-      if (cases[j].core != cases[i].core ||
-          cases[j].dims != cases[i].dims ||
-          cases[j].scheme != cases[i].scheme ||
-          cases[j].overlap != cases[i].overlap)
-        continue;
-      if (results[j].exchange_messages > 0 &&
-          results[i].exchange_messages >= results[j].exchange_messages) {
-        std::fprintf(
-            stderr, "FAIL: %s did not reduce messages (%llu vs %llu)\n",
-            cases[i].label.c_str(),
-            static_cast<unsigned long long>(results[i].exchange_messages),
-            static_cast<unsigned long long>(results[j].exchange_messages));
-        ok = false;
-      }
-    }
-  }
-
-  // Overlap hiding report (informational — wall-clock on a shared machine
-  // is too noisy for a hard gate): each overlap case against its off twin.
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    if (!cases[i].overlap || cases[i].faults) continue;
-    for (std::size_t j = 0; j < cases.size(); ++j) {
-      if (cases[j].overlap || cases[j].faults ||
-          cases[j].core != cases[i].core || cases[j].dims != cases[i].dims ||
-          cases[j].scheme != cases[i].scheme ||
-          cases[j].coalesce != cases[i].coalesce)
-        continue;
-      std::printf(
-          "overlap %-30s wait %7.2f ms (off twin %7.2f ms)%s\n",
-          cases[i].label.c_str(), 1e3 * results[i].exchange_wait,
-          1e3 * results[j].exchange_wait,
-          results[i].exchange_wait < results[j].exchange_wait
-              ? "  [hidden behind interior compute]"
-              : "");
-      break;
     }
   }
 

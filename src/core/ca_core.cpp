@@ -53,7 +53,7 @@ CACore::CACore(const DycoreConfig& config, comm::Context& ctx,
       filter_(opctx_),
       ws_(decomp_.lnx(), decomp_.lny(), decomp_.lnz(),
           halos_for_depth(3 * config.M)),
-      exchanger_(ctx, topo_, decomp_, config.coalesce_exchange),
+      exchanger_(ctx, topo_),
       tend_(make_state()),
       eta_(make_state()),
       mid_(make_state()),
@@ -339,39 +339,17 @@ void CACore::step(state::State& xi) {
     }
   }
   const mesh::Box aw1 = extended_window(2, 2);
-  if (options_.overlap && config_.overlap_exchange) {
-    // Per-face drain (comm.overlap_exchange): each boundary sub-range
-    // completes only the in-flight faces its grown read footprint covers,
-    // re-wraps the vert-product x halos and re-fills the physical
-    // boundaries from the rows that just landed, then evaluates.  Any
-    // fill-derived cell still based on an unfinished face lies outside
-    // this sub-range's footprint and is rewritten by a later pass before
-    // being read, so the result is bitwise the drain-all path's.
-    obs::Span bsp = comm_ctx_->tracer().span("boundary", "compute");
+  exchanger_.finish();
+  wrap_vert_x(ws_);
+  fill_boundaries(xi);
+  if (options_.overlap) {
     for (const mesh::Box& b : ops::subtract_box(aw1, adv_inner)) {
-      exchanger_.finish_region(ops::grow_box(b, 4, 4, 3));
-      wrap_vert_x(ws_);
-      fill_boundaries(xi);
       eval_tendency(xi, b, Operator::kAdvection, false);
       eta_.add_scaled(xi, dt2, tend_, b);
     }
-    exchanger_.finish();
-    wrap_vert_x(ws_);
-    fill_boundaries(xi);
-    bsp.finish();
   } else {
-    exchanger_.finish();
-    wrap_vert_x(ws_);
-    fill_boundaries(xi);
-    if (options_.overlap) {
-      for (const mesh::Box& b : ops::subtract_box(aw1, adv_inner)) {
-        eval_tendency(xi, b, Operator::kAdvection, false);
-        eta_.add_scaled(xi, dt2, tend_, b);
-      }
-    } else {
-      eval_tendency(xi, aw1, Operator::kAdvection, false);
-      eta_.add_scaled(xi, dt2, tend_, aw1);
-    }
+    eval_tendency(xi, aw1, Operator::kAdvection, false);
+    eta_.add_scaled(xi, dt2, tend_, aw1);
   }
   carry_psa(xi, eta_);
   fill_boundaries(eta_);

@@ -30,21 +30,6 @@ struct DycoreConfig {
   /// Allreduce algorithm for the z-line collectives (kLinearOrdered gives
   /// bitwise-deterministic sums for equivalence tests).
   comm::AllreduceAlgorithm z_allreduce = comm::AllreduceAlgorithm::kAuto;
-  /// Coalesce all halo-exchange items bound for one neighbor into a single
-  /// message (config key comm.coalesce_exchange).  Off by default: the
-  /// per-(neighbor, item) granularity is what the paper's message counts
-  /// describe.  Both modes produce bitwise-identical halos.
-  bool coalesce_exchange = false;
-  /// Overlap halo communication with computation (config key
-  /// comm.overlap_exchange, env CA_AGCM_COMM_OVERLAP_EXCHANGE): posts the
-  /// exchange at the start of a stencil pass, evaluates the halo-independent
-  /// interior while messages are in flight, then completes only the faces
-  /// each boundary sub-range reads.  Off by default so the paper's message
-  /// counts and the bitwise baselines stay the reference; on and off
-  /// produce bitwise-identical states (the interior/boundary split is an
-  /// exact partition of every update window).  Composes with
-  /// coalesce_exchange and with fault plans.
-  bool overlap_exchange = false;
 };
 
 /// Algorithm switches of the communication-avoiding core (see

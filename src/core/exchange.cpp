@@ -13,9 +13,6 @@ namespace ca::core {
 namespace {
 
 constexpr int kTagExchangeBase = 1 << 20;
-/// Coalesced messages get their own tag block, clear of the per-item tags
-/// (base + item*27 + dir) and of gather_global's base + (1 << 18).
-constexpr int kTagCoalescedBase = kTagExchangeBase + (1 << 19);
 
 /// Direction index of offset (dx, dy, dz) in {-1,0,1}^3.
 int dir_index(int dx, int dy, int dz) {
@@ -24,10 +21,6 @@ int dir_index(int dx, int dy, int dz) {
 
 int item_tag(int item, int dx, int dy, int dz) {
   return kTagExchangeBase + item * 27 + dir_index(dx, dy, dz);
-}
-
-int coalesced_tag(int dx, int dy, int dz) {
-  return kTagCoalescedBase + dir_index(dx, dy, dz);
 }
 
 /// 2-D send/recv spans along one axis.
@@ -48,8 +41,7 @@ Span2 recv_span(int n, int d, int w) {
 /// Whether `item` exchanges data with the neighbor at offset (dx, dy, dz):
 /// every nonzero offset axis must carry a nonzero halo width, and 2-D
 /// fields never exchange along z.  Identical on the send and receive
-/// sides, which is what keeps the coalesced message layout in agreement
-/// between peers.
+/// sides, so every posted receive has a matching send.
 bool participates(const ExchangeItem& item, int dx, int dy, int dz) {
   if ((dx != 0 && item.wx == 0) || (dy != 0 && item.wy == 0)) return false;
   if (dz != 0 && (item.wz == 0 || item.f2 != nullptr)) return false;
@@ -169,32 +161,7 @@ std::span<double> HaloExchanger::acquire(
   return {buf.data(), n};
 }
 
-HaloExchanger::UnpackSeg HaloExchanger::recv_seg(const ExchangeItem& item,
-                                                 int it, int dx, int dy,
-                                                 int dz) const {
-  UnpackSeg seg;
-  seg.item = it;
-  if (item.f3 != nullptr) {
-    const auto& f = *item.f3;
-    seg.box3 = mesh::recv_box(f.nx(), f.ny(), f.nz(), dx, dy, dz, item.wx,
-                              item.wy, item.wz);
-    seg.count = static_cast<std::size_t>(seg.box3.volume());
-  } else {
-    const auto& f = *item.f2;
-    const Span2 rx = recv_span(f.nx(), dx, item.wx);
-    const Span2 ry = recv_span(f.ny(), dy, item.wy);
-    seg.is2d = true;
-    seg.i0 = rx.lo;
-    seg.i1 = rx.hi;
-    seg.j0 = ry.lo;
-    seg.j1 = ry.hi;
-    seg.count = static_cast<std::size_t>(rx.hi - rx.lo) *
-                static_cast<std::size_t>(ry.hi - ry.lo);
-  }
-  return seg;
-}
-
-void HaloExchanger::post_per_item(int nbr, int dx, int dy, int dz) {
+void HaloExchanger::post(int nbr, int dx, int dy, int dz) {
   const auto& topo = *topo_;
   for (std::size_t it = 0; it < items_.size(); ++it) {
     const ExchangeItem& item = items_[it];
@@ -209,11 +176,20 @@ void HaloExchanger::post_per_item(int nbr, int dx, int dy, int dz) {
     ++last_message_count_;
 
     PendingRecv pr;
+    pr.item = static_cast<int>(it);
     pr.nbr = nbr;
-    pr.seg_begin = segs_.size();
-    segs_.push_back(recv_seg(item, static_cast<int>(it), dx, dy, dz));
-    pr.seg_end = segs_.size();
-    pr.buffer = acquire(recv_pool_, recv_cursor_, segs_.back().count);
+    if (item.f3 != nullptr) {
+      const auto& f = *item.f3;
+      pr.box = mesh::recv_box(f.nx(), f.ny(), f.nz(), dx, dy, dz, item.wx,
+                              item.wy, item.wz);
+    } else {
+      const auto& f = *item.f2;
+      const Span2 rx = recv_span(f.nx(), dx, item.wx);
+      const Span2 ry = recv_span(f.ny(), dy, item.wy);
+      pr.box = mesh::Box{rx.lo, rx.hi, ry.lo, ry.hi, 0, 1};
+    }
+    pr.buffer = acquire(recv_pool_, recv_cursor_,
+                        static_cast<std::size_t>(pr.box.volume()));
     pr.request = ctx_->irecv_values<double>(
         topo.comm, nbr, item_tag(static_cast<int>(it), -dx, -dy, -dz),
         pr.buffer);
@@ -221,49 +197,9 @@ void HaloExchanger::post_per_item(int nbr, int dx, int dy, int dz) {
   }
 }
 
-void HaloExchanger::post_coalesced(int nbr, int dx, int dy, int dz) {
-  const auto& topo = *topo_;
-  // Send: concatenate every participating item's pack region, item order.
-  std::size_t total = 0;
-  for (const ExchangeItem& item : items_)
-    if (participates(item, dx, dy, dz)) total += send_volume(item, dx, dy, dz);
-  if (total == 0) return;
-
-  auto sbuf = acquire(send_pool_, send_cursor_, total);
-  std::size_t offset = 0;
-  for (const ExchangeItem& item : items_) {
-    if (!participates(item, dx, dy, dz)) continue;
-    const std::size_t n = send_volume(item, dx, dy, dz);
-    pack_item(item, dx, dy, dz, sbuf.subspan(offset, n));
-    offset += n;
-  }
-  ctx_->send_values<double>(topo.comm, nbr, coalesced_tag(dx, dy, dz), sbuf);
-  ++last_message_count_;
-
-  // Receive: the neighbor's message toward us uses the mirrored layout
-  // (participation and volumes agree by construction).
-  PendingRecv pr;
-  pr.nbr = nbr;
-  pr.seg_begin = segs_.size();
-  std::size_t rtotal = 0;
-  for (std::size_t it = 0; it < items_.size(); ++it) {
-    const ExchangeItem& item = items_[it];
-    if (!participates(item, dx, dy, dz)) continue;
-    UnpackSeg seg = recv_seg(item, static_cast<int>(it), dx, dy, dz);
-    seg.offset = rtotal;
-    rtotal += seg.count;
-    segs_.push_back(seg);
-  }
-  pr.seg_end = segs_.size();
-  pr.buffer = acquire(recv_pool_, recv_cursor_, rtotal);
-  pr.request = ctx_->irecv_values<double>(
-      topo.comm, nbr, coalesced_tag(-dx, -dy, -dz), pr.buffer);
-  recvs_.push_back(std::move(pr));
-}
-
 void HaloExchanger::begin(const std::vector<ExchangeItem>& items,
                           const std::string& phase) {
-  // Leftover in-flight receives (a post() whose finish() never ran) must
+  // Leftover in-flight receives (a begin() whose finish() never ran) must
   // drain before re-posting: the new round reuses the same (neighbor, tag)
   // triples and FIFO matching would pair old messages with new requests.
   if (!recvs_.empty()) finish();
@@ -271,8 +207,6 @@ void HaloExchanger::begin(const std::vector<ExchangeItem>& items,
   obs::Span span =
       ctx_->tracer().phase_span("exchange_post", "exchange", "exchange");
   items_ = items;
-  recvs_.clear();
-  segs_.clear();
   send_cursor_ = 0;
   recv_cursor_ = 0;
   last_message_count_ = 0;
@@ -285,34 +219,13 @@ void HaloExchanger::begin(const std::vector<ExchangeItem>& items,
         if (dx == 0 && dy == 0 && dz == 0) continue;
         const int nbr = topo.neighbor(dx, dy, dz);
         if (nbr < 0 || nbr == self) continue;
-        if (coalesce_)
-          post_coalesced(nbr, dx, dy, dz);
-        else
-          post_per_item(nbr, dx, dy, dz);
+        post(nbr, dx, dy, dz);
       }
     }
   }
 }
 
-void HaloExchanger::unpack(const PendingRecv& pr) {
-  for (std::size_t s = pr.seg_begin; s < pr.seg_end; ++s) {
-    const UnpackSeg& seg = segs_[s];
-    const std::span<const double> data =
-        pr.buffer.subspan(seg.offset, seg.count);
-    if (seg.is2d) {
-      auto& f = *items_[static_cast<std::size_t>(seg.item)].f2;
-      std::size_t idx = 0;
-      for (int j = seg.j0; j < seg.j1; ++j)
-        for (int i = seg.i0; i < seg.i1; ++i) f(i, j) = data[idx++];
-    } else {
-      auto& f = *items_[static_cast<std::size_t>(seg.item)].f3;
-      mesh::unpack_box(f, seg.box3, data);
-    }
-  }
-}
-
 void HaloExchanger::complete(PendingRecv& pr) {
-  if (pr.done) return;
   // The wait is bounded by the runtime's receive timeout (see
   // comm::RunOptions): a lost neighbor message surfaces as a typed
   // TimeoutError annotated with the exchange item instead of an infinite
@@ -327,67 +240,28 @@ void HaloExchanger::complete(PendingRecv& pr) {
     try {
       ctx_->wait(pr.request);
     } catch (const comm::TimeoutError& e) {
-      const UnpackSeg& first = segs_[pr.seg_begin];
-      throw comm::CommError(
-          std::string("halo exchange item ") + std::to_string(first.item) +
-          (coalesce_ ? " (coalesced message)" : "") + " from rank " +
-          std::to_string(pr.nbr) + " timed out: " + e.what());
+      throw comm::CommError(std::string("halo exchange item ") +
+                            std::to_string(pr.item) + " from rank " +
+                            std::to_string(pr.nbr) + " timed out: " +
+                            e.what());
     }
   }
   obs::Span unpack_span =
       ctx_->tracer().phase_span("exchange_unpack", "exchange", "exchange");
-  unpack(pr);
-  pr.done = true;
-}
-
-bool HaloExchanger::seg_intersects(const UnpackSeg& seg,
-                                   const mesh::Box& region) const {
-  if (seg.is2d) {
-    return seg.i0 < region.i1 && region.i0 < seg.i1 && seg.j0 < region.j1 &&
-           region.j0 < seg.j1;
+  const ExchangeItem& item = items_[static_cast<std::size_t>(pr.item)];
+  if (item.f3 != nullptr) {
+    mesh::unpack_box(*item.f3, pr.box, pr.buffer);
+  } else {
+    auto& f = *item.f2;
+    std::size_t idx = 0;
+    for (int j = pr.box.j0; j < pr.box.j1; ++j)
+      for (int i = pr.box.i0; i < pr.box.i1; ++i) f(i, j) = pr.buffer[idx++];
   }
-  return mesh::intersects(seg.box3, region);
 }
 
 void HaloExchanger::finish() {
   for (auto& pr : recvs_) complete(pr);
   recvs_.clear();
-  segs_.clear();
-}
-
-void HaloExchanger::finish_region(const mesh::Box& region) {
-  for (auto& pr : recvs_) {
-    if (pr.done) continue;
-    for (std::size_t s = pr.seg_begin; s < pr.seg_end; ++s) {
-      if (seg_intersects(segs_[s], region)) {
-        complete(pr);
-        break;
-      }
-    }
-  }
-}
-
-bool HaloExchanger::test() {
-  bool all = true;
-  for (auto& pr : recvs_) {
-    if (pr.done) continue;
-    if (ctx_->test(pr.request)) {
-      obs::Span span =
-          ctx_->tracer().phase_span("exchange_unpack", "exchange", "exchange");
-      unpack(pr);
-      pr.done = true;
-    } else {
-      all = false;
-    }
-  }
-  return all;
-}
-
-std::size_t HaloExchanger::pending_count() const {
-  std::size_t n = 0;
-  for (const auto& pr : recvs_)
-    if (!pr.done) ++n;
-  return n;
 }
 
 void HaloExchanger::exchange(const std::vector<ExchangeItem>& items,
@@ -404,16 +278,6 @@ void compute_diagnostics(const ops::OpContext& ctx, comm::Context* comm_ctx,
                          const std::string& phase) {
   ops::compute_local_diag(ctx, xi, window, ws);
   if (stale_vert) return;  // ws.vert keeps the last C's products
-  compute_vert_diagnostics(ctx, comm_ctx, line_z, xi, window, ws, alg, phase);
-}
-
-void compute_vert_diagnostics(const ops::OpContext& ctx,
-                              comm::Context* comm_ctx,
-                              const comm::Communicator* line_z,
-                              const state::State& xi, const mesh::Box& window,
-                              ops::DiagWorkspace& ws,
-                              comm::AllreduceAlgorithm alg,
-                              const std::string& phase) {
   const bool distributed = line_z != nullptr && line_z->size() > 1;
   if (!distributed) {
     ops::compute_vert_diag_serial(ctx, xi, window, ws);

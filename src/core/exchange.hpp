@@ -34,16 +34,10 @@ struct ExchangeItem {
   int wx = 0, wy = 0, wz = 0;
 };
 
-/// Neighbor halo exchange over the Cartesian topology.
-///
-/// Two message granularities:
-///   - per-item (default): one message per (neighbor, item) pair — the
-///     granularity the paper counts ("about 20 MPI_Isend and MPI_Recv
-///     operations ... due to the length of xi being ten");
-///   - coalesced (comm.coalesce_exchange): every item bound for one
-///     neighbor packs into a single message, cutting messages per round
-///     from ~items x neighbors to ~neighbors.  Both modes deliver
-///     bitwise-identical halos.
+/// Neighbor halo exchange over the Cartesian topology: one message per
+/// (neighbor, item) pair — the granularity the paper counts ("about 20
+/// MPI_Isend and MPI_Recv operations ... due to the length of xi being
+/// ten").
 ///
 /// Pack and receive buffers come from persistent per-exchanger pools:
 /// after a warm-up step every acquire reuses existing capacity, so the
@@ -51,44 +45,18 @@ struct ExchangeItem {
 /// CommStats::pool()).
 class HaloExchanger {
  public:
-  HaloExchanger(comm::Context& ctx, const comm::CartTopology& topo,
-                const mesh::DomainDecomp& decomp, bool coalesce = false)
-      : ctx_(&ctx), topo_(&topo), decomp_(&decomp), coalesce_(coalesce) {}
-
-  /// Switches message granularity (takes effect at the next begin()).
-  void set_coalesce(bool on) { coalesce_ = on; }
-  bool coalesce() const { return coalesce_; }
+  HaloExchanger(comm::Context& ctx, const comm::CartTopology& topo)
+      : ctx_(&ctx), topo_(&topo) {}
 
   /// Posts receives and sends for all items; returns immediately.  If a
-  /// previous post still has receives in flight they are drained first
+  /// previous begin() still has receives in flight they are drained first
   /// (re-posting onto the same (neighbor, tag) triples would break FIFO
   /// matching).
   void begin(const std::vector<ExchangeItem>& items,
              const std::string& phase);
-  /// Alias of begin() under the async post/test/finish vocabulary: posts
-  /// the round's sends and receives up front so later passes can complete
-  /// only the faces they consume.
-  void post(const std::vector<ExchangeItem>& items,
-            const std::string& phase) {
-    begin(items, phase);
-  }
-  /// Waits for every still-pending receive and unpacks it into the halos.
-  /// Receives already completed by test()/finish_region() are skipped, so
-  /// finish() after any interleaving — including a second finish(), which
-  /// is a no-op — is safe.
+  /// Waits for every pending receive and unpacks it into the halos.  A
+  /// second finish() is a no-op.
   void finish();
-  /// Completes (waits for + unpacks) only the pending receives whose halo
-  /// destination intersects `region` (local index coordinates, halo cells
-  /// included).  A boundary pass blocks only on the faces its read
-  /// footprint covers; everything else stays in flight.
-  void finish_region(const mesh::Box& region);
-  /// Nonblocking progress probe: unpacks every receive that has already
-  /// arrived and returns true when none remain in flight.  Under an
-  /// active FaultPlan each probe is one receive poll, so a test() loop
-  /// ages delayed messages and requests retransmission of dropped ones.
-  bool test();
-  /// Receives posted but not yet completed by test/finish_region/finish.
-  std::size_t pending_count() const;
   /// begin + finish.
   void exchange(const std::vector<ExchangeItem>& items,
                 const std::string& phase);
@@ -97,24 +65,14 @@ class HaloExchanger {
   std::size_t last_message_count() const { return last_message_count_; }
 
  private:
-  /// One contiguous slice of a received message, destined for one item's
-  /// halo region.  Per-item messages have exactly one segment; coalesced
-  /// messages carry one per participating item.
-  struct UnpackSeg {
-    int item = 0;
-    mesh::Box box3{};
-    bool is2d = false;
-    int i0 = 0, i1 = 0, j0 = 0, j1 = 0;  // 2-D box
-    std::size_t offset = 0;              // doubles into the message
-    std::size_t count = 0;
-  };
-
+  /// One posted receive: the message from rank `nbr` that fills item
+  /// `item`'s halo region `box` (k extent [0, 1) for 2-D fields).
   struct PendingRecv {
     comm::Request request;
     std::span<double> buffer;  // view into recv_pool_
-    std::size_t seg_begin = 0, seg_end = 0;  // range in segs_
+    int item = 0;
     int nbr = -1;
-    bool done = false;  // completed (waited + unpacked) this round
+    mesh::Box box{};
   };
 
   /// Grabs the next pool slot resized to n doubles, recording whether the
@@ -122,28 +80,16 @@ class HaloExchanger {
   std::span<double> acquire(std::vector<std::vector<double>>& pool,
                             std::size_t& cursor, std::size_t n);
 
-  /// Receive-side geometry of item `it` from the neighbor at (dx, dy, dz).
-  UnpackSeg recv_seg(const ExchangeItem& item, int it, int dx, int dy,
-                     int dz) const;
-
-  void post_per_item(int nbr, int dx, int dy, int dz);
-  void post_coalesced(int nbr, int dx, int dy, int dz);
-
+  /// Sends every participating item toward the neighbor at (dx, dy, dz)
+  /// and posts the matching receives.
+  void post(int nbr, int dx, int dy, int dz);
   /// Blocks on pr's message ("exchange_wait" phase) and unpacks it
-  /// ("exchange" phase); no-op when already done.
+  /// ("exchange" phase).
   void complete(PendingRecv& pr);
-  /// Copies pr's message into the destination halo regions.
-  void unpack(const PendingRecv& pr);
-  /// Whether any of pr's destination halo cells lie inside `region`
-  /// (2-D segments intersect on i/j only).
-  bool seg_intersects(const UnpackSeg& seg, const mesh::Box& region) const;
 
   comm::Context* ctx_;
   const comm::CartTopology* topo_;
-  const mesh::DomainDecomp* decomp_;
-  bool coalesce_ = false;
   std::vector<ExchangeItem> items_;
-  std::vector<UnpackSeg> segs_;
   std::vector<PendingRecv> recvs_;
   std::vector<std::vector<double>> send_pool_, recv_pool_;
   std::size_t send_cursor_ = 0, recv_cursor_ = 0;
@@ -162,20 +108,6 @@ void compute_diagnostics(const ops::OpContext& ctx, comm::Context* comm_ctx,
                          ops::DiagWorkspace& ws, bool stale_vert,
                          comm::AllreduceAlgorithm alg,
                          const std::string& phase);
-
-/// The vertical (C operator) half of compute_diagnostics on its own: the
-/// column partials plus the z-line allreduce + exscan and column finish.
-/// The overlap path uses this split — the pointwise LocalDiag part runs
-/// tile by tile as halo faces arrive, while the collectives MUST run
-/// exactly once per refresh on the full update window (every rank of
-/// line_z participates with the same ring).
-void compute_vert_diagnostics(const ops::OpContext& ctx,
-                              comm::Context* comm_ctx,
-                              const comm::Communicator* line_z,
-                              const state::State& xi, const mesh::Box& window,
-                              ops::DiagWorkspace& ws,
-                              comm::AllreduceAlgorithm alg,
-                              const std::string& phase);
 
 /// Gathers every rank's owned interior into one full-domain state on rank
 /// 0 of the topology's communicator (returned state is empty elsewhere).

@@ -5,7 +5,6 @@
 #include "ops/adaptation.hpp"
 #include "ops/advection.hpp"
 #include "ops/smoothing.hpp"
-#include "ops/subrange.hpp"
 
 namespace ca::core {
 namespace {
@@ -35,7 +34,7 @@ OriginalCore::OriginalCore(const DycoreConfig& config, comm::Context& ctx,
       opctx_{&mesh_, &levels_, &strat_, &decomp_, config.params},
       filter_(opctx_),
       ws_(decomp_.lnx(), decomp_.lny(), decomp_.lnz(), halos_for_depth(1)),
-      exchanger_(ctx, topo_, decomp_, config.coalesce_exchange),
+      exchanger_(ctx, topo_),
       tend_(make_state()),
       eta_(make_state()),
       mid_(make_state()) {
@@ -71,15 +70,11 @@ std::vector<ExchangeItem> OriginalCore::halo_items(state::State& s) const {
   return items;
 }
 
-void OriginalCore::fill_physical(state::State& s) {
+void OriginalCore::refresh_halos(state::State& s, const std::string& phase) {
+  exchanger_.exchange(halo_items(s), phase);
   const auto h = s.u().halo();
   apply_physical_boundaries(opctx_, s, h.x, std::max(h.y, s.psa().hy()),
                             h.z);
-}
-
-void OriginalCore::refresh_halos(state::State& s, const std::string& phase) {
-  exchanger_.exchange(halo_items(s), phase);
-  fill_physical(s);
 }
 
 void OriginalCore::apply_filter(state::State& tend, const mesh::Box& window) {
@@ -97,37 +92,10 @@ void OriginalCore::adaptation_tendency(state::State& psi,
   const mesh::Box window = psi.interior();
   const comm::Communicator* line_z =
       decomp_.dims()[2] > 1 ? &topo_.line_z : nullptr;
-  if (config_.overlap_exchange) {
-    // Post the refresh, run the halo-independent LocalDiag interior while
-    // the messages are in flight, then complete each boundary sub-range as
-    // the faces it reads arrive.  The interior shrink (4, 4, 0) dominates
-    // the LocalDiag read footprint (psa/U/V/Phi up to +-3 in x, +-2 in y
-    // via the face ring; no z reads), so the interior pass touches owned
-    // cells only and matches the off-path result bitwise.  The z-line
-    // collectives of C stay a single full-window call after the drain.
-    exchanger_.post(halo_items(psi), "stencil");
-    const mesh::Box inner = ops::shrink_window(window, 4, 4, 0);
-    {
-      obs::Span sp = comm_ctx_->tracer().span("interior", "compute");
-      ops::compute_local_diag(opctx_, psi, inner, ws_);
-    }
-    obs::Span bsp = comm_ctx_->tracer().span("boundary", "compute");
-    for (const mesh::Box& b : ops::subtract_box(window, inner)) {
-      exchanger_.finish_region(ops::grow_box(b, 4, 4, 3));
-      fill_physical(psi);
-      ops::compute_local_diag(opctx_, psi, b, ws_);
-    }
-    exchanger_.finish();
-    bsp.finish();
-    fill_physical(psi);
-    compute_vert_diagnostics(opctx_, comm_ctx_, line_z, psi, window, ws_,
-                             config_.z_allreduce, "collective");
-  } else {
-    refresh_halos(psi, "stencil");
-    compute_diagnostics(opctx_, comm_ctx_, line_z, psi, window, ws_,
-                        /*stale_vert=*/false, config_.z_allreduce,
-                        "collective");
-  }
+  refresh_halos(psi, "stencil");
+  compute_diagnostics(opctx_, comm_ctx_, line_z, psi, window, ws_,
+                      /*stale_vert=*/false, config_.z_allreduce,
+                      "collective");
   ops::apply_adaptation(opctx_, psi, ws_.local, ws_.vert, tend, window);
   apply_filter(tend, window);
 }
@@ -138,35 +106,11 @@ void OriginalCore::advection_tendency(state::State& psi,
   // L~ is a pure stencil operator: pes/pfac/div refresh locally and the
   // sigma-dot field is re-derived from the adaptation C's column anchors
   // without communication.
-  if (config_.overlap_exchange) {
-    // No collective here, so both the diagnostics and the stencil apply
-    // run sub-range by sub-range: the interior (shrink (4, 4, 2) covers
-    // the LocalDiag + advection footprint, which adds +-1 in z) while the
-    // exchange is in flight, each boundary box once its faces landed.
-    exchanger_.post(halo_items(psi), "stencil");
-    const mesh::Box inner = ops::shrink_window(window, 4, 4, 2);
-    {
-      obs::Span sp = comm_ctx_->tracer().span("interior", "compute");
-      ops::compute_local_diag(opctx_, psi, inner, ws_);
-      ops::apply_advection(opctx_, psi, ws_.local, ws_.vert, tend, inner);
-    }
-    obs::Span bsp = comm_ctx_->tracer().span("boundary", "compute");
-    for (const mesh::Box& b : ops::subtract_box(window, inner)) {
-      exchanger_.finish_region(ops::grow_box(b, 4, 4, 3));
-      fill_physical(psi);
-      ops::compute_local_diag(opctx_, psi, b, ws_);
-      ops::apply_advection(opctx_, psi, ws_.local, ws_.vert, tend, b);
-    }
-    exchanger_.finish();
-    bsp.finish();
-    fill_physical(psi);
-  } else {
-    refresh_halos(psi, "stencil");
-    compute_diagnostics(opctx_, comm_ctx_, nullptr, psi, window, ws_,
-                        /*stale_vert=*/true, config_.z_allreduce,
-                        "collective");
-    ops::apply_advection(opctx_, psi, ws_.local, ws_.vert, tend, window);
-  }
+  refresh_halos(psi, "stencil");
+  compute_diagnostics(opctx_, comm_ctx_, nullptr, psi, window, ws_,
+                      /*stale_vert=*/true, config_.z_allreduce,
+                      "collective");
+  ops::apply_advection(opctx_, psi, ws_.local, ws_.vert, tend, window);
   apply_filter(tend, window);
 }
 
@@ -201,26 +145,8 @@ void OriginalCore::step(state::State& xi) {
   xi.add_scaled(xi, dt2, tend_, interior);
 
   // Smoothing: one more exchange for the +-2 stencil.
-  if (config_.overlap_exchange) {
-    exchanger_.post(halo_items(xi), "stencil");
-    const mesh::Box inner = ops::shrink_window(interior, 2, 2, 0);
-    {
-      obs::Span sp = comm_ctx_->tracer().span("interior", "compute");
-      ops::apply_smoothing(opctx_, xi, eta_, inner);
-    }
-    obs::Span bsp = comm_ctx_->tracer().span("boundary", "compute");
-    for (const mesh::Box& b : ops::subtract_box(interior, inner)) {
-      exchanger_.finish_region(ops::grow_box(b, 4, 4, 3));
-      fill_physical(xi);
-      ops::apply_smoothing(opctx_, xi, eta_, b);
-    }
-    exchanger_.finish();
-    bsp.finish();
-    fill_physical(xi);
-  } else {
-    refresh_halos(xi, "stencil");
-    ops::apply_smoothing(opctx_, xi, eta_, interior);
-  }
+  refresh_halos(xi, "stencil");
+  ops::apply_smoothing(opctx_, xi, eta_, interior);
   xi.assign(eta_, interior);
 }
 

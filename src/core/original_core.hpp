@@ -63,12 +63,6 @@ class OriginalCore {
   void apply_filter(state::State& tend, const mesh::Box& window);
   /// The exchange item list of refresh_halos (every halo this core uses).
   std::vector<ExchangeItem> halo_items(state::State& s) const;
-  /// Physical boundary fill at full halo width.  Deterministic in the
-  /// owned + already-arrived halo cells and idempotent, so the overlap
-  /// path re-runs it after each finish_region: any cell it derives from a
-  /// still-in-flight face lies outside the current sub-range's read
-  /// footprint and is rewritten by a later fill before anything reads it.
-  void fill_physical(state::State& s);
 
   DycoreConfig config_;
   DecompScheme scheme_;

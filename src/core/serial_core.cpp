@@ -4,7 +4,6 @@
 #include "ops/adaptation.hpp"
 #include "ops/advection.hpp"
 #include "ops/smoothing.hpp"
-#include "ops/subrange.hpp"
 
 namespace ca::core {
 namespace {
@@ -47,25 +46,9 @@ void SerialCore::fill_boundaries(state::State& s) const {
 
 void SerialCore::adaptation_tendency(state::State& xi, state::State& tend) {
   const mesh::Box window = xi.interior();
-  if (config_.overlap_exchange) {
-    // Serial analogue of the interior/boundary split: there is no message
-    // to hide, but the flag routes every core through the same split
-    // passes so overlap-on vs off equivalence pins the geometry itself.
-    // The interior LocalDiag runs before the boundary fill (it reads
-    // owned cells only, which the fill never writes), boundary sub-ranges
-    // after it.
-    const mesh::Box inner = ops::shrink_window(window, 4, 4, 0);
-    ops::compute_local_diag(opctx_, xi, inner, ws_);
-    fill_boundaries(xi);
-    for (const mesh::Box& b : ops::subtract_box(window, inner))
-      ops::compute_local_diag(opctx_, xi, b, ws_);
-    compute_vert_diagnostics(opctx_, nullptr, nullptr, xi, window, ws_,
-                             config_.z_allreduce, "serial");
-  } else {
-    fill_boundaries(xi);
-    compute_diagnostics(opctx_, nullptr, nullptr, xi, window, ws_,
-                        /*stale_vert=*/false, config_.z_allreduce, "serial");
-  }
+  fill_boundaries(xi);
+  compute_diagnostics(opctx_, nullptr, nullptr, xi, window, ws_,
+                      /*stale_vert=*/false, config_.z_allreduce, "serial");
   ops::apply_adaptation(opctx_, xi, ws_.local, ws_.vert, tend, window);
   filter_.apply_local(opctx_, tend, window);
 }
@@ -74,21 +57,10 @@ void SerialCore::advection_tendency(state::State& xi, state::State& tend) {
   const mesh::Box window = xi.interior();
   // L~ is a pure stencil operator (paper Section 3): pes/pfac refresh
   // locally, sigma-dot is the field the adaptation process's C produced.
-  if (config_.overlap_exchange) {
-    const mesh::Box inner = ops::shrink_window(window, 4, 4, 2);
-    ops::compute_local_diag(opctx_, xi, inner, ws_);
-    ops::apply_advection(opctx_, xi, ws_.local, ws_.vert, tend, inner);
-    fill_boundaries(xi);
-    for (const mesh::Box& b : ops::subtract_box(window, inner)) {
-      ops::compute_local_diag(opctx_, xi, b, ws_);
-      ops::apply_advection(opctx_, xi, ws_.local, ws_.vert, tend, b);
-    }
-  } else {
-    fill_boundaries(xi);
-    compute_diagnostics(opctx_, nullptr, nullptr, xi, window, ws_,
-                        /*stale_vert=*/true, config_.z_allreduce, "serial");
-    ops::apply_advection(opctx_, xi, ws_.local, ws_.vert, tend, window);
-  }
+  fill_boundaries(xi);
+  compute_diagnostics(opctx_, nullptr, nullptr, xi, window, ws_,
+                      /*stale_vert=*/true, config_.z_allreduce, "serial");
+  ops::apply_advection(opctx_, xi, ws_.local, ws_.vert, tend, window);
   filter_.apply_local(opctx_, tend, window);
 }
 
@@ -122,16 +94,8 @@ void SerialCore::step(state::State& xi) {
   xi.add_scaled(xi, dt2, tend_, interior);  // zeta3
 
   // Smoothing.
-  if (config_.overlap_exchange) {
-    const mesh::Box inner = ops::shrink_window(interior, 2, 2, 0);
-    ops::apply_smoothing(opctx_, xi, eta_, inner);
-    fill_boundaries(xi);
-    for (const mesh::Box& b : ops::subtract_box(interior, inner))
-      ops::apply_smoothing(opctx_, xi, eta_, b);
-  } else {
-    fill_boundaries(xi);
-    ops::apply_smoothing(opctx_, xi, eta_, interior);
-  }
+  fill_boundaries(xi);
+  ops::apply_smoothing(opctx_, xi, eta_, interior);
   xi.assign(eta_, interior);
   fill_boundaries(xi);
 }

@@ -2,18 +2,6 @@
 
 namespace ca::ops {
 
-mesh::Box shrink_window(const mesh::Box& w, int sx, int sy, int sz) {
-  mesh::Box b{w.i0 + sx, w.i1 - sx, w.j0 + sy, w.j1 - sy, w.k0 + sz,
-              w.k1 - sz};
-  if (b.empty()) return mesh::Box{w.i0, w.i0, w.j0, w.j0, w.k0, w.k0};
-  return b;
-}
-
-mesh::Box grow_box(const mesh::Box& b, int gx, int gy, int gz) {
-  return mesh::Box{b.i0 - gx, b.i1 + gx, b.j0 - gy, b.j1 + gy, b.k0 - gz,
-                   b.k1 + gz};
-}
-
 std::vector<mesh::Box> subtract_box(const mesh::Box& window,
                                     const mesh::Box& inner_in) {
   std::vector<mesh::Box> out;

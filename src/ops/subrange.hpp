@@ -1,12 +1,12 @@
-// Sub-range (interior/boundary) window arithmetic for the
-// communication/computation overlap: an update window splits into an
-// interior box whose full read footprint stays inside owned cells and a
-// deterministic set of boundary boxes that are evaluated only after the
-// halo faces they read have arrived.  The split is purely geometric —
-// every stencil kernel already takes an explicit window, so running it
-// over {interior} ∪ boundary boxes composes bitwise to the full-window
-// evaluation (the tiles partition the window and each kernel is a
-// deterministic pointwise function of its inputs).
+// Sub-range (interior/boundary) window arithmetic for the CA core's
+// communication/computation overlap: an update window splits into an inner
+// box, evaluated while the halo exchange is in flight because its read
+// footprint stays inside owned cells, and a deterministic set of boundary
+// boxes evaluated after the exchange completes.  The split is purely
+// geometric — every stencil kernel already takes an explicit window, so
+// running it over {inner} ∪ boundary boxes composes bitwise to the
+// full-window evaluation (the tiles partition the window and each kernel
+// is a deterministic pointwise function of its inputs).
 #pragma once
 
 #include <vector>
@@ -14,18 +14,6 @@
 #include "mesh/halo.hpp"
 
 namespace ca::ops {
-
-/// `w` shrunk inward by (sx, sy, sz) on both sides of each axis; collapses
-/// to a canonical empty box (all extents zero at the window origin) when
-/// the window is too small to keep an interior.  The shrink per axis must
-/// be at least the kernel's read depth on that axis so the interior pass
-/// reads no halo cell.
-mesh::Box shrink_window(const mesh::Box& w, int sx, int sy, int sz);
-
-/// `b` grown outward by (gx, gy, gz) on both sides of each axis: the read
-/// closure of a boundary box, i.e. the region whose halo messages must
-/// have landed before the box can be evaluated.
-mesh::Box grow_box(const mesh::Box& b, int gx, int gy, int gz);
 
 /// Boxes covering window \ inner in deterministic order (y-low strip,
 /// y-high strip, x-low, x-high, z-low, z-high).  `inner` is clipped to

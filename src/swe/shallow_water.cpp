@@ -157,7 +157,7 @@ void ShallowWaterCore::initialize(SweState& s, SweInitial kind) const {
 
 void ShallowWaterCore::refresh_halos(SweState& s) {
   if (comm_ctx_ != nullptr && decomp_.dims()[1] > 1) {
-    core::HaloExchanger ex(*comm_ctx_, topo_, decomp_);
+    core::HaloExchanger ex(*comm_ctx_, topo_);
     std::vector<core::ExchangeItem> items{
         {nullptr, &s.h, 0, kHalo, 0},
         {nullptr, &s.u, 0, kHalo, 0},

@@ -83,24 +83,11 @@ TEST(Subrange, SubtractBoxDegenerateCases) {
   EXPECT_EQ(all[0], w);
   // Inner == window: nothing remains.
   EXPECT_TRUE(ops::subtract_box(w, w).empty());
-}
-
-TEST(Subrange, ShrinkWindowCollapsesToCanonicalEmpty) {
-  const Box w{0, 8, 0, 6, 0, 4};
-  const Box inner = ops::shrink_window(w, 2, 1, 1);
-  EXPECT_EQ(inner, (Box{2, 6, 1, 5, 1, 3}));
-  EXPECT_EQ(ops::shrink_window(w, 0, 0, 0), w);
-  // Over-shrinking yields the canonical empty box at the window origin,
-  // which subtract_box then treats as "no interior".
-  const Box empty = ops::shrink_window(w, 4, 1, 1);
-  EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(ops::subtract_box(w, empty).size(), 1u);
-}
-
-TEST(Subrange, GrowBoxIsShrinkInverseOnContainedBoxes) {
-  const Box b{2, 6, 1, 5, 1, 3};
-  EXPECT_EQ(ops::grow_box(b, 2, 1, 1), (Box{0, 8, 0, 6, 0, 4}));
-  EXPECT_EQ(ops::grow_box(b, 0, 0, 0), b);
+  // An over-shrunk (inverted-extent) inner is "no interior" too.
+  const std::vector<Box> inverted =
+      ops::subtract_box(w, Box{4, 4, 1, 5, 1, 3});
+  ASSERT_EQ(inverted.size(), 1u);
+  EXPECT_EQ(inverted[0], w);
 }
 
 // --- kernel composition: interior + boundary == full window, bitwise ----
@@ -132,10 +119,11 @@ struct Fixture {
   state::State xi;
 };
 
-/// Tiles for a given shrink: the interior (when nonempty) plus the
-/// deterministic boundary boxes.
+/// Tiles for the window shrunk by (sx, sy, sz) on both sides of each axis:
+/// the interior (when nonempty) plus the deterministic boundary boxes.
 std::vector<Box> tiles_for(const Box& window, int sx, int sy, int sz) {
-  const Box inner = ops::shrink_window(window, sx, sy, sz);
+  const Box inner{window.i0 + sx, window.i1 - sx, window.j0 + sy,
+                  window.j1 - sy, window.k0 + sz, window.k1 - sz};
   std::vector<Box> tiles;
   if (!inner.empty()) tiles.push_back(inner);
   for (const Box& b : ops::subtract_box(window, inner)) tiles.push_back(b);

@@ -145,11 +145,11 @@ TEST(RankFailureComm, KilledRankUnwindsInFlightAsyncPosts) {
                            util::Array3D<double> f(d.lnx(), d.lny(), d.lnz(),
                                                    util::Halo3{2, 2, 1});
                            f.fill(1.0);
-                           core::HaloExchanger ex(ctx, topo, d);
+                           core::HaloExchanger ex(ctx, topo);
                            std::vector<core::ExchangeItem> items{
                                {&f, nullptr, 0, 2, 1}};
                            for (int step = 0; step < 3; ++step) {
-                             ex.post(items, "stencil");
+                             ex.begin(items, "stencil");
                              ctx.notify_step();  // rank 0 dies at step 1,
                                                  // posts still in flight
                              ex.finish();
