@@ -117,7 +117,9 @@ state::State solo_state(service::JobSpec spec, const std::string& prefix) {
   spec.node_faults.clear();
   spec.checkpoint_every = 0;
   spec.comm = comm::RunOptions{};
-  auto r = service::run_attempt(spec, 1, 0, prefix, {});
+  service::AttemptOptions o;
+  o.checkpoint_prefix = prefix;
+  auto r = service::run_attempt(spec, o);
   if (!r.completed(spec.steps)) {
     std::fprintf(stderr, "FAIL: solo reference '%s' broke: %s\n",
                  spec.name.c_str(), r.error.c_str());

@@ -56,15 +56,11 @@ struct CampaignOptions {
   /// never part ways mid-exchange.  Ignored when checkpoint_every == 0:
   /// without a checkpoint there is nothing to resume from.
   std::function<bool()> should_yield;
-  /// Called before each step with the attempt-local 0-based step index
-  /// (the same counter Context::notify_step keeps for distributed runs).
-  /// Serial cores have no Context, so this is where the service's runner
-  /// injects process-level faults (kill/hang) into serial campaigns.
-  std::function<void(int step_index)> on_step;
-  /// Called right after each step (and its forcing) with the same
-  /// attempt-local index and MUTABLE state: the hook the service's runner
-  /// uses to inject corrupt_state faults (an in-memory poke of a
-  /// prognostic field) without the core layer knowing about fault plans.
+  /// Called right after each step (and its forcing) with the
+  /// attempt-local 0-based step index (the counter Context::notify_step
+  /// keeps) and MUTABLE state: the hook the service's runner uses to
+  /// inject corrupt_state faults (an in-memory poke of a prognostic
+  /// field) without the core layer knowing about fault plans.
   /// Runs before the health check of the same step, so an injected
   /// corruption is detectable within one sentinel cadence.
   std::function<void(int step_index, state::State& xi)> on_step_state;
@@ -124,7 +120,6 @@ int run_campaign(Core& core, comm::Context* comm_ctx, state::State& xi,
   if (comm_ctx != nullptr)
     campaign_span = comm_ctx->tracer().span("campaign", "core");
   for (int step = options.start_step + 1; step <= options.steps; ++step) {
-    if (options.on_step) options.on_step(step - options.start_step - 1);
     core.step(xi);
     if (options.forcing != nullptr) {
       obs::Span fsp;

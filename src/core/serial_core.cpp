@@ -15,8 +15,9 @@ mesh::SigmaLevels make_levels(const DycoreConfig& c) {
 
 }  // namespace
 
-SerialCore::SerialCore(const DycoreConfig& config)
+SerialCore::SerialCore(const DycoreConfig& config, comm::Context* comm_ctx)
     : config_(config),
+      comm_ctx_(comm_ctx),
       mesh_(config.nx, config.ny, config.nz),
       levels_(make_levels(config)),
       strat_(levels_),
@@ -65,6 +66,11 @@ void SerialCore::advection_tendency(state::State& xi, state::State& tend) {
 }
 
 void SerialCore::step(state::State& xi) {
+  obs::Span step_span;
+  if (comm_ctx_ != nullptr) {
+    comm_ctx_->notify_step();
+    step_span = comm_ctx_->tracer().span("step", "core");
+  }
   const mesh::Box interior = xi.interior();
   const double dt1 = config_.dt_adapt;
   const double dt2 = config_.dt_advect;

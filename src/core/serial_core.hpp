@@ -5,7 +5,9 @@
 #pragma once
 
 #include <memory>
+#include <string>
 
+#include "comm/context.hpp"
 #include "core/dycore_config.hpp"
 #include "mesh/decomp.hpp"
 #include "mesh/latlon.hpp"
@@ -20,7 +22,12 @@ namespace ca::core {
 
 class SerialCore {
  public:
-  explicit SerialCore(const DycoreConfig& config);
+  /// `comm_ctx` is optional: a core run inside a one-rank comm::Runtime
+  /// world passes its Context so each step reaches the fault-injection
+  /// step boundary (Context::notify_step) and the rank's tracer, exactly
+  /// as the distributed cores do.
+  explicit SerialCore(const DycoreConfig& config,
+                      comm::Context* comm_ctx = nullptr);
 
   /// Advances xi by one full time step.
   void step(state::State& xi);
@@ -49,6 +56,11 @@ class SerialCore {
 
   /// Fills every physical boundary halo of a state (periodic x, poles, z).
   void fill_boundaries(state::State& s) const;
+  /// Restart hook shared with the distributed cores: with one block the
+  /// halos are all physical boundaries, so this is fill_boundaries.
+  void refresh_halos(state::State& s, const std::string& /*phase*/) {
+    fill_boundaries(s);
+  }
 
   /// tend = F~(C + A-hat)(xi), the filtered adaptation tendency
   /// (boundaries of xi are filled here).  Exposed for tests.
@@ -58,6 +70,7 @@ class SerialCore {
 
  private:
   DycoreConfig config_;
+  comm::Context* comm_ctx_ = nullptr;
   mesh::LatLonMesh mesh_;
   mesh::SigmaLevels levels_;
   state::Stratification strat_;

@@ -110,36 +110,35 @@ void ReplicaStore::corrupt_for_test(const std::string& prefix, int rank) {
   }
 }
 
-void replicate_checkpoint(comm::Context* ctx, ReplicaStore& store,
+void replicate_checkpoint(comm::Context& ctx, ReplicaStore& store,
                           const std::string& prefix, std::int64_t step,
                           double time_seconds,
                           const std::vector<std::byte>& image) {
-  const int me = ctx != nullptr ? ctx->world_rank() : 0;
+  const int me = ctx.world_rank();
   // The node-local self copy: a SURVIVING rank's latest state never has
   // to come back off disk just because a sibling died.
   store.deposit(prefix, me, me, step, time_seconds, image);
-  if (ctx == nullptr) return;
-  const comm::Communicator& w = ctx->world();
+  const comm::Communicator& w = ctx.world();
   const int n = w.size();
   if (n < 2) return;
   const int buddy = (me + 1) % n;        // receives my image
   const int ward = (me + n - 1) % n;     // I hold its image
-  ctx->stats().set_phase("replicate");
+  ctx.stats().set_phase("replicate");
   obs::Span span =
-      ctx->tracer().phase_span("replicate", "checkpoint", "replicate");
+      ctx.tracer().phase_span("replicate", "checkpoint", "replicate");
   const ReplicaWireHeader out{step, time_seconds, image.size()};
-  ctx->send(w, buddy, kTagReplicaHeader,
-            std::as_bytes(std::span<const ReplicaWireHeader>(&out, 1)));
-  ctx->send(w, buddy, kTagReplicaBody, image);
+  ctx.send(w, buddy, kTagReplicaHeader,
+           std::as_bytes(std::span<const ReplicaWireHeader>(&out, 1)));
+  ctx.send(w, buddy, kTagReplicaBody, image);
   // Sends are eager (buffered into the buddy's mailbox), so every rank
   // can post both sends before any receive: the ring cannot deadlock.
   ReplicaWireHeader in;
-  ctx->recv(w, ward, kTagReplicaHeader,
-            std::as_writable_bytes(std::span<ReplicaWireHeader>(&in, 1)));
+  ctx.recv(w, ward, kTagReplicaHeader,
+           std::as_writable_bytes(std::span<ReplicaWireHeader>(&in, 1)));
   std::vector<std::byte> body(in.bytes);
-  ctx->recv(w, ward, kTagReplicaBody, body);
+  ctx.recv(w, ward, kTagReplicaBody, body);
   span.finish();
-  ctx->stats().set_phase("service");
+  ctx.stats().set_phase("service");
   store.deposit(prefix, ward, me, in.step, in.time_seconds,
                 std::move(body));
 }

@@ -83,10 +83,10 @@ class ReplicaStore {
 /// right after its checkpoint write (the campaign's yield allreduce has
 /// already barriered the cadence): deposit the own image, send it to
 /// ring buddy (r+1) % n, and store the image received from ward
-/// (r-1+n) % n.  Single-rank worlds only self-deposit.  Traffic is
-/// charged to the "replicate" comm phase (stats + wall-clock timer).
-/// `ctx` may be null for serial jobs (self-deposit only).
-void replicate_checkpoint(comm::Context* ctx, ReplicaStore& store,
+/// (r-1+n) % n.  Single-rank worlds (serial jobs) only self-deposit.
+/// Traffic is charged to the "replicate" comm phase (stats + wall-clock
+/// timer).
+void replicate_checkpoint(comm::Context& ctx, ReplicaStore& store,
                           const std::string& prefix, std::int64_t step,
                           double time_seconds,
                           const std::vector<std::byte>& image);

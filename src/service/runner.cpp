@@ -1,13 +1,11 @@
 #include "service/runner.hpp"
 
-#include <chrono>
 #include <cstddef>
 #include <limits>
 #include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "comm/collectives.hpp"
@@ -140,90 +138,235 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
 
   util::Timer timer;
   try {
-    if (spec.core == CoreKind::kSerial) {
-      // Serial attempts have no Context, so the runner owns a tracer
-      // directly: same knobs, tid 0, wired to the caller's collector.
-      obs::Tracer tracer;
-      tracer.configure(o.obs.env_resolved(), 0, nullptr, o.trace_sink,
-                       o.trace_pid);
-      obs::Span attempt_span = tracer.span("attempt", "service");
-      core::SerialCore core(spec.config);
+    comm::RunOptions opts = spec.comm;
+    opts.faults = inject ? &plan : nullptr;
+    opts.obs = o.obs;
+    opts.trace_sink = o.trace_sink;
+    opts.trace_pid = o.trace_pid;
+    std::mutex mu;
+    auto drive = [&](auto& core, comm::Context& ctx) {
       auto xi = core.make_state();
       ResumePoint resume;
+      RestoreSource source = RestoreSource::kNone;
+      double restore_s = 0.0;
       if (start_step > 0) {
-        obs::Span restore_span = tracer.span("restore", "checkpoint");
+        obs::Span restore_span = ctx.tracer().span("restore", "checkpoint");
         util::Timer restore_timer;
         const mesh::LatLonMesh mesh(spec.config.nx, spec.config.ny,
                                     spec.config.nz);
-        bool from_ram = false;
+        std::vector<std::byte> carry;
+        const std::string path =
+            util::checkpoint_path(checkpoint_prefix, ctx.world_rank());
+        // --- RAM replicas first.  Each rank parses its own freshest
+        // CRC-valid copy, then the world agrees the set is uniform: a
+        // usable RAM restore needs EVERY rank at the SAME step (the
+        // survivors' self copies plus the victim's buddy copy).  Any
+        // gap, mismatch, or corruption drops the whole world to disk
+        // together — never a RAM/disk mix.
+        std::int64_t ram_step = -1;
+        double ram_time = 0.0;
         if (o.replicas != nullptr) {
-          if (auto img = o.replicas->fetch(checkpoint_prefix, 0)) {
+          if (auto img =
+                  o.replicas->fetch(checkpoint_prefix, ctx.world_rank())) {
             try {
               const auto hdr = util::parse_checkpoint_image(
-                  img->bytes, mesh, core.decomp(), xi, nullptr,
-                  "replica of rank 0");
-              resume = check_resume_step(hdr.step, start_step, spec,
-                                         hdr.time_seconds);
-              from_ram = true;
+                  img->bytes, mesh, core.decomp(), xi, &carry,
+                  "replica of rank " +
+                      std::to_string(ctx.world_rank()));
+              if (hdr.step >= start_step && hdr.step <= spec.steps) {
+                ram_step = hdr.step;
+                ram_time = hdr.time_seconds;
+              }
             } catch (const std::exception& e) {
-              // Corrupt/mismatched/out-of-range replica: the disk chain
-              // below overwrites whatever the failed parse left in xi.
-              tracer.instant("ram_restore_fallback", "checkpoint",
-                             e.what());
+              ram_step = -1;
+              ctx.tracer().instant("ram_restore_fallback", "checkpoint",
+                                   e.what());
             }
           }
-        }
-        if (from_ram &&
-            restore_unhealthy(o.health, core.op_context(), xi)) {
-          // Poisoned replica: never resume from it, and purge the job's
-          // whole replica set — every copy records the same poisoned
-          // trajectory.  The disk chain below can still rewind past it.
-          from_ram = false;
-          tracer.instant("ram_restore_unhealthy", "checkpoint",
-                         "replica of rank 0 failed the health check");
-          o.replicas->erase_prefix(checkpoint_prefix);
-        }
-        if (!from_ram) {
-          const auto chain = util::read_checkpoint_chain(
-              util::checkpoint_path(checkpoint_prefix, 0), mesh,
-              core.decomp(), xi);
-          if (chain.truncated_by_corruption) {
-            tracer.instant("checkpoint_chain_fallback", "checkpoint",
-                           "chain for job '" + spec.name +
-                               "' truncated by corruption at step " +
-                               std::to_string(chain.header.step));
-            tracer.dump_flight("checkpoint chain truncated by corruption");
+          if (ram_step >= 0 &&
+              restore_unhealthy(o.health, core.op_context(), xi)) {
+            // Poisoned replica: reject it and purge the job's replica
+            // set (every copy records the same poisoned trajectory).
+            // The agreement below then drops the whole world to disk,
+            // where the chain can rewind past the poison.
+            ram_step = -1;
+            ctx.tracer().instant(
+                "ram_restore_unhealthy", "checkpoint",
+                "replica of rank " + std::to_string(ctx.world_rank()) +
+                    " failed the health check");
+            o.replicas->erase_prefix(checkpoint_prefix);
           }
-          // Poisoned-tip rewind: while the restored snapshot fails the
-          // static health check, step the chain back one checkpoint
-          // cadence at a time (the delta chain's max_step rewind) until a
-          // healthy element is found or the chain runs out.
-          std::int64_t tip = chain.header.step;
-          double tip_time = chain.header.time_seconds;
-          while (restore_unhealthy(o.health, core.op_context(), xi)) {
-            const std::int64_t target = tip - spec.checkpoint_every;
+          if (ctx.world().size() > 1) {
+            const double local[2] = {static_cast<double>(ram_step),
+                                     -static_cast<double>(ram_step)};
+            double agreed[2] = {local[0], local[1]};
+            ctx.stats().set_phase("service");
+            comm::allreduce<double>(ctx, ctx.world(),
+                                    std::span<const double>(local, 2),
+                                    std::span<double>(agreed, 2),
+                                    comm::ReduceOp::kMax);
+            if (agreed[0] != -agreed[1] || agreed[0] < 0.0)
+              ram_step = -1;
+          }
+        }
+        std::int64_t hdr_step = 0;
+        double hdr_time = 0.0;
+        if (ram_step >= 0) {
+          hdr_step = ram_step;
+          hdr_time = ram_time;
+          source = RestoreSource::kRam;
+        } else {
+          carry.clear();
+          auto chain = util::read_checkpoint_chain(path, mesh,
+                                                   core.decomp(), xi,
+                                                   &carry);
+          hdr_step = chain.header.step;
+          hdr_time = chain.header.time_seconds;
+          if (chain.truncated_by_corruption) {
+            // The chain fell back to its last intact element.  That is
+            // a survivable, silent data-loss event — exactly what the
+            // flight recorder exists to surface.
+            ctx.tracer().instant(
+                "checkpoint_chain_fallback", "checkpoint",
+                "chain for job '" + spec.name +
+                    "' truncated by corruption at step " +
+                    std::to_string(hdr_step));
+            ctx.tracer().dump_flight(
+                "checkpoint chain truncated by corruption");
+          }
+          if (ctx.world().size() > 1) {
+            const double local[2] = {static_cast<double>(hdr_step),
+                                     -static_cast<double>(hdr_step)};
+            double agreed[2] = {local[0], local[1]};
+            ctx.stats().set_phase("service");
+            comm::allreduce<double>(ctx, ctx.world(),
+                                    std::span<const double>(local, 2),
+                                    std::span<double>(agreed, 2),
+                                    comm::ReduceOp::kMax);
+            const auto min_tip =
+                static_cast<std::int64_t>(-agreed[1]);
+            const auto max_tip = static_cast<std::int64_t>(agreed[0]);
+            if (min_tip != max_tip) {
+              // Mixed tips.  With delta chains this is recoverable:
+              // ranks that checkpointed past the minimum rewind their
+              // chain to the common step.  The rewind attempt is made
+              // on every ahead rank and its success is agreed
+              // collectively, so either ALL ranks proceed from min_tip
+              // or ALL ranks fail the attempt together (a rank that
+              // threw alone would leave its peers hung in the next
+              // collective until the heartbeat timeout).
+              double fail = 0.0;
+              if (hdr_step != min_tip) {
+                try {
+                  carry.clear();
+                  auto rewound = util::read_checkpoint_chain(
+                      path, mesh, core.decomp(), xi, &carry,
+                      {.max_step = min_tip});
+                  hdr_step = rewound.header.step;
+                  hdr_time = rewound.header.time_seconds;
+                  if (rewound.truncated_by_corruption) {
+                    ctx.tracer().instant(
+                        "checkpoint_chain_fallback", "checkpoint",
+                        "rewound chain for job '" + spec.name +
+                            "' truncated by corruption at step " +
+                            std::to_string(hdr_step));
+                    ctx.tracer().dump_flight(
+                        "checkpoint chain truncated by corruption");
+                  }
+                } catch (const std::exception&) {
+                  fail = 1.0;
+                }
+              }
+              double any_fail = 0.0;
+              comm::allreduce<double>(
+                  ctx, ctx.world(), std::span<const double>(&fail, 1),
+                  std::span<double>(&any_fail, 1), comm::ReduceOp::kMax);
+              if (any_fail > 0.0)
+                throw std::runtime_error(
+                    "inconsistent checkpoint set for job '" + spec.name +
+                    "': rank headers record steps " +
+                    std::to_string(min_tip) + ".." +
+                    std::to_string(max_tip) +
+                    "; no common state to resume");
+            }
+          }
+          // Poisoned-tip rewind, collectively agreed: the ranks now
+          // hold a uniform-step set, so they run identical iterations
+          // of this loop — each round every rank contributes its local
+          // health verdict (a NaN lives on ONE rank), and if any is
+          // poisoned ALL ranks rewind one checkpoint cadence together.
+          // Either all proceed from a healthy common step or all fail
+          // the attempt together.
+          while (true) {
+            double bad = restore_unhealthy(o.health, core.op_context(),
+                                           xi)
+                             ? 1.0
+                             : 0.0;
+            double any_bad = bad;
+            if (ctx.world().size() > 1) {
+              ctx.stats().set_phase("service");
+              comm::allreduce<double>(
+                  ctx, ctx.world(), std::span<const double>(&bad, 1),
+                  std::span<double>(&any_bad, 1), comm::ReduceOp::kMax);
+            }
+            if (any_bad == 0.0) break;
+            const std::int64_t target = hdr_step - spec.checkpoint_every;
+            double fail = 0.0;
             if (spec.checkpoint_every <= 0 || target < start_step ||
-                target <= 0)
+                target <= 0) {
+              fail = 1.0;
+            } else {
+              try {
+                carry.clear();
+                const auto rewound = util::read_checkpoint_chain(
+                    path, mesh, core.decomp(), xi, &carry,
+                    {.max_step = target});
+                hdr_step = rewound.header.step;
+                hdr_time = rewound.header.time_seconds;
+              } catch (const std::exception&) {
+                fail = 1.0;
+              }
+            }
+            double any_fail = fail;
+            if (ctx.world().size() > 1)
+              comm::allreduce<double>(
+                  ctx, ctx.world(), std::span<const double>(&fail, 1),
+                  std::span<double>(&any_fail, 1), comm::ReduceOp::kMax);
+            if (any_fail > 0.0)
               throw std::runtime_error(
                   "no healthy checkpoint to resume job '" + spec.name +
-                  "': the chain tip at step " + std::to_string(tip) +
-                  " and every rewindable element failed the health check");
-            tracer.instant("checkpoint_tip_poisoned", "checkpoint",
-                           "step " + std::to_string(tip) +
-                               " failed the health check; rewinding to " +
-                               std::to_string(target));
-            const auto rewound = util::read_checkpoint_chain(
-                util::checkpoint_path(checkpoint_prefix, 0), mesh,
-                core.decomp(), xi, nullptr, {.max_step = target});
-            tip = rewound.header.step;
-            tip_time = rewound.header.time_seconds;
+                  "': the chain tip and every rewindable element "
+                  "failed the health check");
+            ctx.tracer().instant(
+                "checkpoint_tip_poisoned", "checkpoint",
+                "rewound chain for job '" + spec.name + "' to step " +
+                    std::to_string(hdr_step) +
+                    " past a health-check failure");
           }
-          resume = check_resume_step(tip, start_step, spec, tip_time);
+          source = RestoreSource::kDisk;
         }
-        core.fill_boundaries(xi);
-        res.restored_from =
-            from_ram ? RestoreSource::kRam : RestoreSource::kDisk;
-        res.restore_seconds = restore_timer.seconds();
+        // Header-step agreement first: the carry is per-rank data tied
+        // to the agreed step, so a mixed-step file set fails before any
+        // rank restores state from it.
+        resume = check_resume_step(hdr_step, start_step, spec,
+                                   hdr_time);
+        // Cores with cross-step carry state (the CA core) restore it
+        // from the checkpoint's CRC-guarded v3 block; a checkpoint
+        // without one cannot reproduce the trajectory bitwise, so the
+        // attempt fails loudly instead of resuming quietly wrong.
+        if constexpr (requires(util::CarryReader& r) {
+                        core.restore_carry(r);
+                      }) {
+          if (carry.empty())
+            throw std::runtime_error(
+                "checkpoint for job '" + spec.name +
+                "' has no core-carry block; it was not written by a "
+                "carry-bearing core and cannot resume one bitwise");
+          util::CarryReader r(carry);
+          core.restore_carry(r);
+        }
+        core.refresh_halos(xi, "restart");
+        restore_s = restore_timer.seconds();
       } else {
         core.initialize(xi, spec.initial);
       }
@@ -232,365 +375,67 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
           campaign_options(spec, resume.step, resume.time_seconds,
                            checkpoint_prefix, &forcing, should_yield);
       opt.health = o.health;
-      // Session-based writes (delta chains / replication) replace the
-      // campaign's plain full-file writer; the session must outlive the
-      // campaign loop.
       util::CheckpointSession session(
-          util::checkpoint_path(checkpoint_prefix, 0),
-          {.chain_cap = o.delta_chain, .block_bytes = o.delta_block_bytes});
+          util::checkpoint_path(checkpoint_prefix, ctx.world_rank()),
+          {.chain_cap = o.delta_chain,
+           .block_bytes = o.delta_block_bytes});
       if (o.delta_chain > 0 || o.replicas != nullptr) {
         opt.write_checkpoint =
-            [&core, &session, &o, &checkpoint_prefix](
+            [&core, &session, &o, &checkpoint_prefix, &ctx](
                 const mesh::LatLonMesh& m, const state::State& s,
                 std::int64_t step, double t,
                 std::span<const std::byte> carry, std::uint32_t health) {
               session.write(m, core.decomp(), s, step, t, carry, health);
               if (o.replicas != nullptr)
-                replicate_checkpoint(nullptr, *o.replicas,
-                                     checkpoint_prefix, step, t,
-                                     session.image());
+                replicate_checkpoint(ctx, *o.replicas, checkpoint_prefix,
+                                     step, t, session.image());
             };
       }
       if (inject) {
-        opt.on_step_state = [&plan](int idx, state::State& s) {
+        const int my_rank = ctx.world_rank();
+        opt.on_step_state = [&plan, my_rank](int idx, state::State& s) {
           const auto sf =
-              plan.state_fault(0, static_cast<std::uint64_t>(idx));
+              plan.state_fault(my_rank, static_cast<std::uint64_t>(idx));
           if (sf.fire) poke_state(s, sf);
         };
-        // Serial campaigns have no Context, so the process-level faults
-        // (kill/hang) fire through the campaign's step hook instead; the
-        // plan's step counter semantics match notify_step's.
-        opt.on_step = [&plan](int idx) {
-          const auto sf =
-              plan.step_fault(0, static_cast<std::uint64_t>(idx));
-          if (sf.kill)
-            throw comm::RankKilledError(0, static_cast<std::uint64_t>(idx));
-          if (sf.hang_ms > 0)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(sf.hang_ms));
-        };
       }
-      int executed = 0;
-      try {
-        executed = core::run_campaign(core, nullptr, xi, opt);
-      } catch (const comm::CommError& e) {
-        // Serial campaigns die through the step hook (injected kills);
-        // mirror the rank-thread flight dump the distributed path gets.
-        tracer.dump_flight(e.what());
-        throw;
-      } catch (const core::NumericalError& e) {
-        // One flight dump per numeric incident: the recent spans around
-        // the blowup are the post-mortem the rollback erases.
-        tracer.dump_flight(e.what());
-        throw;
-      }
-      res.end_step = resume.step + executed;
-      if (res.end_step == spec.steps)
-        res.global = std::move(xi);
-      else
-        res.yielded = true;
-      attempt_span.finish();
-      tracer.flush();
-    } else {
-      comm::RunOptions opts = spec.comm;
-      opts.faults = inject ? &plan : nullptr;
-      opts.obs = o.obs;
-      opts.trace_sink = o.trace_sink;
-      opts.trace_pid = o.trace_pid;
-      std::mutex mu;
-      auto drive = [&](auto& core, comm::Context& ctx) {
-        auto xi = core.make_state();
-        ResumePoint resume;
-        RestoreSource source = RestoreSource::kNone;
-        double restore_s = 0.0;
-        if (start_step > 0) {
-          obs::Span restore_span = ctx.tracer().span("restore", "checkpoint");
-          util::Timer restore_timer;
-          const mesh::LatLonMesh mesh(spec.config.nx, spec.config.ny,
-                                      spec.config.nz);
-          std::vector<std::byte> carry;
-          const std::string path =
-              util::checkpoint_path(checkpoint_prefix, ctx.world_rank());
-          // --- RAM replicas first.  Each rank parses its own freshest
-          // CRC-valid copy, then the world agrees the set is uniform: a
-          // usable RAM restore needs EVERY rank at the SAME step (the
-          // survivors' self copies plus the victim's buddy copy).  Any
-          // gap, mismatch, or corruption drops the whole world to disk
-          // together — never a RAM/disk mix.
-          std::int64_t ram_step = -1;
-          double ram_time = 0.0;
-          if (o.replicas != nullptr) {
-            if (auto img =
-                    o.replicas->fetch(checkpoint_prefix, ctx.world_rank())) {
-              try {
-                const auto hdr = util::parse_checkpoint_image(
-                    img->bytes, mesh, core.decomp(), xi, &carry,
-                    "replica of rank " +
-                        std::to_string(ctx.world_rank()));
-                if (hdr.step >= start_step && hdr.step <= spec.steps) {
-                  ram_step = hdr.step;
-                  ram_time = hdr.time_seconds;
-                }
-              } catch (const std::exception& e) {
-                ram_step = -1;
-                ctx.tracer().instant("ram_restore_fallback", "checkpoint",
-                                     e.what());
-              }
-            }
-            if (ram_step >= 0 &&
-                restore_unhealthy(o.health, core.op_context(), xi)) {
-              // Poisoned replica: reject it and purge the job's replica
-              // set (every copy records the same poisoned trajectory).
-              // The agreement below then drops the whole world to disk,
-              // where the chain can rewind past the poison.
-              ram_step = -1;
-              ctx.tracer().instant(
-                  "ram_restore_unhealthy", "checkpoint",
-                  "replica of rank " + std::to_string(ctx.world_rank()) +
-                      " failed the health check");
-              o.replicas->erase_prefix(checkpoint_prefix);
-            }
-            if (ctx.world().size() > 1) {
-              const double local[2] = {static_cast<double>(ram_step),
-                                       -static_cast<double>(ram_step)};
-              double agreed[2] = {local[0], local[1]};
-              ctx.stats().set_phase("service");
-              comm::allreduce<double>(ctx, ctx.world(),
-                                      std::span<const double>(local, 2),
-                                      std::span<double>(agreed, 2),
-                                      comm::ReduceOp::kMax);
-              if (agreed[0] != -agreed[1] || agreed[0] < 0.0)
-                ram_step = -1;
-            }
-          }
-          std::int64_t hdr_step = 0;
-          double hdr_time = 0.0;
-          if (ram_step >= 0) {
-            hdr_step = ram_step;
-            hdr_time = ram_time;
-            source = RestoreSource::kRam;
-          } else {
-            carry.clear();
-            auto chain = util::read_checkpoint_chain(path, mesh,
-                                                     core.decomp(), xi,
-                                                     &carry);
-            hdr_step = chain.header.step;
-            hdr_time = chain.header.time_seconds;
-            if (chain.truncated_by_corruption) {
-              // The chain fell back to its last intact element.  That is
-              // a survivable, silent data-loss event — exactly what the
-              // flight recorder exists to surface.
-              ctx.tracer().instant(
-                  "checkpoint_chain_fallback", "checkpoint",
-                  "chain for job '" + spec.name +
-                      "' truncated by corruption at step " +
-                      std::to_string(hdr_step));
-              ctx.tracer().dump_flight(
-                  "checkpoint chain truncated by corruption");
-            }
-            if (ctx.world().size() > 1) {
-              const double local[2] = {static_cast<double>(hdr_step),
-                                       -static_cast<double>(hdr_step)};
-              double agreed[2] = {local[0], local[1]};
-              ctx.stats().set_phase("service");
-              comm::allreduce<double>(ctx, ctx.world(),
-                                      std::span<const double>(local, 2),
-                                      std::span<double>(agreed, 2),
-                                      comm::ReduceOp::kMax);
-              const auto min_tip =
-                  static_cast<std::int64_t>(-agreed[1]);
-              const auto max_tip = static_cast<std::int64_t>(agreed[0]);
-              if (min_tip != max_tip) {
-                // Mixed tips.  With delta chains this is recoverable:
-                // ranks that checkpointed past the minimum rewind their
-                // chain to the common step.  The rewind attempt is made
-                // on every ahead rank and its success is agreed
-                // collectively, so either ALL ranks proceed from min_tip
-                // or ALL ranks fail the attempt together (a rank that
-                // threw alone would leave its peers hung in the next
-                // collective until the heartbeat timeout).
-                double fail = 0.0;
-                if (hdr_step != min_tip) {
-                  try {
-                    carry.clear();
-                    auto rewound = util::read_checkpoint_chain(
-                        path, mesh, core.decomp(), xi, &carry,
-                        {.max_step = min_tip});
-                    hdr_step = rewound.header.step;
-                    hdr_time = rewound.header.time_seconds;
-                    if (rewound.truncated_by_corruption) {
-                      ctx.tracer().instant(
-                          "checkpoint_chain_fallback", "checkpoint",
-                          "rewound chain for job '" + spec.name +
-                              "' truncated by corruption at step " +
-                              std::to_string(hdr_step));
-                      ctx.tracer().dump_flight(
-                          "checkpoint chain truncated by corruption");
-                    }
-                  } catch (const std::exception&) {
-                    fail = 1.0;
-                  }
-                }
-                double any_fail = 0.0;
-                comm::allreduce<double>(
-                    ctx, ctx.world(), std::span<const double>(&fail, 1),
-                    std::span<double>(&any_fail, 1), comm::ReduceOp::kMax);
-                if (any_fail > 0.0)
-                  throw std::runtime_error(
-                      "inconsistent checkpoint set for job '" + spec.name +
-                      "': rank headers record steps " +
-                      std::to_string(min_tip) + ".." +
-                      std::to_string(max_tip) +
-                      "; no common state to resume");
-              }
-            }
-            // Poisoned-tip rewind, collectively agreed: the ranks now
-            // hold a uniform-step set, so they run identical iterations
-            // of this loop — each round every rank contributes its local
-            // health verdict (a NaN lives on ONE rank), and if any is
-            // poisoned ALL ranks rewind one checkpoint cadence together.
-            // Either all proceed from a healthy common step or all fail
-            // the attempt together.
-            while (true) {
-              double bad = restore_unhealthy(o.health, core.op_context(),
-                                             xi)
-                               ? 1.0
-                               : 0.0;
-              double any_bad = bad;
-              if (ctx.world().size() > 1) {
-                ctx.stats().set_phase("service");
-                comm::allreduce<double>(
-                    ctx, ctx.world(), std::span<const double>(&bad, 1),
-                    std::span<double>(&any_bad, 1), comm::ReduceOp::kMax);
-              }
-              if (any_bad == 0.0) break;
-              const std::int64_t target = hdr_step - spec.checkpoint_every;
-              double fail = 0.0;
-              if (spec.checkpoint_every <= 0 || target < start_step ||
-                  target <= 0) {
-                fail = 1.0;
-              } else {
-                try {
-                  carry.clear();
-                  const auto rewound = util::read_checkpoint_chain(
-                      path, mesh, core.decomp(), xi, &carry,
-                      {.max_step = target});
-                  hdr_step = rewound.header.step;
-                  hdr_time = rewound.header.time_seconds;
-                } catch (const std::exception&) {
-                  fail = 1.0;
-                }
-              }
-              double any_fail = fail;
-              if (ctx.world().size() > 1)
-                comm::allreduce<double>(
-                    ctx, ctx.world(), std::span<const double>(&fail, 1),
-                    std::span<double>(&any_fail, 1), comm::ReduceOp::kMax);
-              if (any_fail > 0.0)
-                throw std::runtime_error(
-                    "no healthy checkpoint to resume job '" + spec.name +
-                    "': the chain tip and every rewindable element "
-                    "failed the health check");
-              ctx.tracer().instant(
-                  "checkpoint_tip_poisoned", "checkpoint",
-                  "rewound chain for job '" + spec.name + "' to step " +
-                      std::to_string(hdr_step) +
-                      " past a health-check failure");
-            }
-            source = RestoreSource::kDisk;
-          }
-          // Header-step agreement first: the carry is per-rank data tied
-          // to the agreed step, so a mixed-step file set fails before any
-          // rank restores state from it.
-          resume = check_resume_step(hdr_step, start_step, spec,
-                                     hdr_time);
-          // Cores with cross-step carry state (the CA core) restore it
-          // from the checkpoint's CRC-guarded v3 block; a checkpoint
-          // without one cannot reproduce the trajectory bitwise, so the
-          // attempt fails loudly instead of resuming quietly wrong.
-          if constexpr (requires(util::CarryReader& r) {
-                          core.restore_carry(r);
-                        }) {
-            if (carry.empty())
-              throw std::runtime_error(
-                  "checkpoint for job '" + spec.name +
-                  "' has no core-carry block; it was not written by a "
-                  "carry-bearing core and cannot resume one bitwise");
-            util::CarryReader r(carry);
-            core.restore_carry(r);
-          }
-          if constexpr (requires { core.refresh_halos(xi, "restart"); }) {
-            core.refresh_halos(xi, "restart");
-          } else {
-            throw std::logic_error(
-                "resume requested for a core without halo restart");
-          }
-          restore_s = restore_timer.seconds();
-        } else {
-          core.initialize(xi, spec.initial);
-        }
-        const physics::HeldSuarezForcing forcing(core.op_context());
-        auto opt =
-            campaign_options(spec, resume.step, resume.time_seconds,
-                             checkpoint_prefix, &forcing, should_yield);
-        opt.health = o.health;
-        util::CheckpointSession session(
-            util::checkpoint_path(checkpoint_prefix, ctx.world_rank()),
-            {.chain_cap = o.delta_chain,
-             .block_bytes = o.delta_block_bytes});
-        if (o.delta_chain > 0 || o.replicas != nullptr) {
-          comm::Context* pctx = &ctx;
-          opt.write_checkpoint =
-              [&core, &session, &o, &checkpoint_prefix, pctx](
-                  const mesh::LatLonMesh& m, const state::State& s,
-                  std::int64_t step, double t,
-                  std::span<const std::byte> carry, std::uint32_t health) {
-                session.write(m, core.decomp(), s, step, t, carry, health);
-                if (o.replicas != nullptr)
-                  replicate_checkpoint(pctx, *o.replicas,
-                                       checkpoint_prefix, step, t,
-                                       session.image());
-              };
-        }
-        if (inject) {
-          const int my_rank = ctx.world_rank();
-          opt.on_step_state = [&plan, my_rank](int idx, state::State& s) {
-            const auto sf =
-                plan.state_fault(my_rank, static_cast<std::uint64_t>(idx));
-            if (sf.fire) poke_state(s, sf);
-          };
-        }
-        const int executed = core::run_campaign(core, &ctx, xi, opt);
-        const int end = resume.step + executed;
-        const bool completed = end == spec.steps;
-        state::State global;
-        if (completed) {
-          // The CA core defers the last step's final smoothing; apply it
-          // before the gather so the result is the finished trajectory.
-          if constexpr (requires { core.finalize(xi); }) core.finalize(xi);
+      const int executed = core::run_campaign(core, &ctx, xi, opt);
+      const int end = resume.step + executed;
+      const bool completed = end == spec.steps;
+      state::State global;
+      if (completed) {
+        // The CA core defers the last step's final smoothing; apply it
+        // before the gather so the result is the finished trajectory.
+        // A core without a topology owns the whole domain already.
+        if constexpr (requires { core.finalize(xi); }) core.finalize(xi);
+        if constexpr (requires { core.topology(); })
           global = core::gather_global(core.op_context(), ctx,
                                        core.topology(), xi);
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        res.comm += ctx.stats().grand_totals();
-        if (restore_s > res.restore_seconds) res.restore_seconds = restore_s;
-        if (ctx.world_rank() == 0) {
-          res.end_step = end;
-          res.yielded = !completed;
-          if (completed) res.global = std::move(global);
-          res.restored_from = source;
-        }
-      };
-      comm::Runtime::run(nranks, opts, [&](comm::Context& ctx) {
-        if (spec.core == CoreKind::kOriginal) {
-          core::OriginalCore core(spec.config, ctx, spec.scheme, dims);
-          drive(core, ctx);
-        } else {
-          core::CACore core(spec.config, ctx, dims, spec.ca_options);
-          drive(core, ctx);
-        }
-      });
-    }
+        else
+          global = std::move(xi);
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      res.comm += ctx.stats().grand_totals();
+      if (restore_s > res.restore_seconds) res.restore_seconds = restore_s;
+      if (ctx.world_rank() == 0) {
+        res.end_step = end;
+        res.yielded = !completed;
+        if (completed) res.global = std::move(global);
+        res.restored_from = source;
+      }
+    };
+    comm::Runtime::run(nranks, opts, [&](comm::Context& ctx) {
+      if (spec.core == CoreKind::kOriginal) {
+        core::OriginalCore core(spec.config, ctx, spec.scheme, dims);
+        drive(core, ctx);
+      } else if (spec.core == CoreKind::kCA) {
+        core::CACore core(spec.config, ctx, dims, spec.ca_options);
+        drive(core, ctx);
+      } else {
+        core::SerialCore core(spec.config, &ctx);
+        drive(core, ctx);
+      }
+    });
   } catch (const comm::RankKilledError& e) {
     res.error = e.what();
     res.yielded = false;
@@ -619,17 +464,6 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
   res.run_seconds = timer.seconds();
   if (inject) res.faults = plan.summary();
   return res;
-}
-
-AttemptResult run_attempt(const JobSpec& spec, int attempt, int start_step,
-                          const std::string& checkpoint_prefix,
-                          const std::function<bool()>& should_yield) {
-  AttemptOptions o;
-  o.attempt = attempt;
-  o.start_step = start_step;
-  o.checkpoint_prefix = checkpoint_prefix;
-  o.should_yield = should_yield;
-  return run_attempt(spec, o);
 }
 
 }  // namespace ca::service

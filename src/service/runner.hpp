@@ -1,10 +1,10 @@
 // Executes ONE attempt of a job on the calling worker thread: spins up a
-// comm::Runtime rank group sized to the job's decomposition (serial jobs
-// run in-thread), restores the job's checkpoint when resuming, drives the
-// campaign loop, and gathers the final global state plus per-attempt comm
-// metrics.  Failure (a detected fault, a timeout, any exception out of
-// the rank group) is reported as an error string, never thrown — the
-// WorkerPool's retry logic decides what happens next.
+// comm::Runtime rank group sized to the job's decomposition (a one-rank
+// world for serial jobs), restores the job's checkpoint when resuming,
+// drives the campaign loop, and gathers the final global state plus
+// per-attempt comm metrics.  Failure (a detected fault, a timeout, any
+// exception out of the rank group) is reported as an error string, never
+// thrown — the WorkerPool's retry logic decides what happens next.
 #pragma once
 
 #include <array>
@@ -102,9 +102,8 @@ struct AttemptOptions {
   /// Dirty-diff granularity for delta checkpoints [bytes].
   std::size_t delta_block_bytes = 4096;
   /// Observability of the attempt's rank group: span recording / flight
-  /// recorder knobs forwarded into comm::RunOptions (distributed jobs)
-  /// or a local Tracer (serial jobs).  Env overrides (CA_AGCM_OBS_*)
-  /// still apply on top inside the rank group.
+  /// recorder knobs forwarded into comm::RunOptions.  Env overrides
+  /// (CA_AGCM_OBS_*) still apply on top inside the rank group.
   obs::TraceOptions obs{};
   /// Non-null receives every rank's span stream for a merged Chrome
   /// trace; must outlive the attempt (the pool owns it).
@@ -123,10 +122,5 @@ struct AttemptOptions {
 
 /// Runs the job to spec.steps with the given attempt options.
 AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& opts);
-
-/// Back-compat convenience wrapper (spec.dims, identity rank mapping).
-AttemptResult run_attempt(const JobSpec& spec, int attempt, int start_step,
-                          const std::string& checkpoint_prefix,
-                          const std::function<bool()>& should_yield);
 
 }  // namespace ca::service

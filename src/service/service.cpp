@@ -210,21 +210,8 @@ std::string validate_report(const util::Json& doc) {
   if (!doc.is_object()) return "root is not an object";
   const util::Json* schema = doc.find("schema");
   if (schema == nullptr || !schema->is_string() ||
-      (schema->as_string() != kReportSchema &&
-       schema->as_string() != kReportSchemaV4 &&
-       schema->as_string() != kReportSchemaV3 &&
-       schema->as_string() != kReportSchemaV2 &&
-       schema->as_string() != kReportSchemaV1))
+      schema->as_string() != kReportSchema)
     return "missing/wrong schema tag";
-  // v1 reports predate the health section and the per-job recovery
-  // fields, v2 predates the restore-provenance fields, v3 predates the
-  // embedded metrics snapshot, and v4 predates the numeric-health
-  // fields; each revision only ADDS keys, so requirements are gated per
-  // revision.
-  const bool v5 = schema->as_string() == kReportSchema;
-  const bool v4 = v5 || schema->as_string() == kReportSchemaV4;
-  const bool v3 = v4 || schema->as_string() == kReportSchemaV3;
-  const bool v2 = v3 || schema->as_string() == kReportSchemaV2;
   const util::Json* svc = doc.find("service");
   if (svc == nullptr || !svc->is_object()) return "missing service object";
   for (const char* key :
@@ -234,69 +221,47 @@ std::string validate_report(const util::Json& doc) {
         "retries", "rank_seconds_busy", "utilization"})
     if (svc->find(key) == nullptr || !svc->find(key)->is_number())
       return std::string("service missing numeric '") + key + "'";
-  if (v2) {
-    const util::Json* health = doc.find("health");
-    if (health == nullptr || !health->is_object())
-      return "missing health object";
-    for (const char* key : {"jobs_recovered", "quarantines",
-                            "ranks_retired", "degraded_rank_seconds"})
-      if (health->find(key) == nullptr || !health->find(key)->is_number())
-        return std::string("health missing numeric '") + key + "'";
-    if (v3)
-      for (const char* key : {"replica_deposits", "replica_bytes"})
-        if (health->find(key) == nullptr || !health->find(key)->is_number())
-          return std::string("health missing numeric '") + key + "'";
-    if (v5)
-      for (const char* key :
-           {"sentinel_cadence", "numeric_retry", "numeric_rollbacks"})
-        if (health->find(key) == nullptr || !health->find(key)->is_number())
-          return std::string("health missing numeric '") + key + "'";
-    const util::Json* ranks = health->find("ranks");
-    if (ranks == nullptr || !ranks->is_array())
-      return "health missing ranks array";
-    for (const auto& r : ranks->items()) {
-      if (!r.is_object()) return "health rank entry is not an object";
-      if (r.find("id") == nullptr || r.find("status") == nullptr ||
-          !r.find("status")->is_string())
-        return "health rank entry missing id/status";
-      const std::string& st = r.find("status")->as_string();
-      if (st != "healthy" && st != "quarantined" && st != "retired")
-        return "health rank entry has unknown status '" + st + "'";
-    }
+  const util::Json* health = doc.find("health");
+  if (health == nullptr || !health->is_object())
+    return "missing health object";
+  for (const char* key :
+       {"jobs_recovered", "quarantines", "ranks_retired",
+        "degraded_rank_seconds", "replica_deposits", "replica_bytes",
+        "sentinel_cadence", "numeric_retry", "numeric_rollbacks"})
+    if (health->find(key) == nullptr || !health->find(key)->is_number())
+      return std::string("health missing numeric '") + key + "'";
+  const util::Json* ranks = health->find("ranks");
+  if (ranks == nullptr || !ranks->is_array())
+    return "health missing ranks array";
+  for (const auto& r : ranks->items()) {
+    if (!r.is_object()) return "health rank entry is not an object";
+    if (r.find("id") == nullptr || r.find("status") == nullptr ||
+        !r.find("status")->is_string())
+      return "health rank entry missing id/status";
+    const std::string& st = r.find("status")->as_string();
+    if (st != "healthy" && st != "quarantined" && st != "retired")
+      return "health rank entry has unknown status '" + st + "'";
   }
-  if (v4) {
-    const util::Json* metrics = doc.find("metrics");
-    if (metrics == nullptr || !metrics->is_object())
-      return "missing metrics object";
-    for (const char* key : {"counters", "gauges", "histograms"})
-      if (metrics->find(key) == nullptr || !metrics->find(key)->is_array())
-        return std::string("metrics missing array '") + key + "'";
-  }
+  const util::Json* metrics = doc.find("metrics");
+  if (metrics == nullptr || !metrics->is_object())
+    return "missing metrics object";
+  for (const char* key : {"counters", "gauges", "histograms"})
+    if (metrics->find(key) == nullptr || !metrics->find(key)->is_array())
+      return std::string("metrics missing array '") + key + "'";
   const util::Json* jobs = doc.find("jobs");
   if (jobs == nullptr || !jobs->is_array()) return "missing jobs array";
   for (const auto& e : jobs->items()) {
     if (!e.is_object()) return "job entry is not an object";
-    for (const char* key : {"id", "name", "core", "state", "steps",
-                            "steps_done", "attempts", "preemptions",
-                            "queue_wait_seconds", "run_seconds",
-                            "steps_per_second"})
+    for (const char* key :
+         {"id", "name", "core", "state", "steps", "steps_done", "attempts",
+          "preemptions", "queue_wait_seconds", "run_seconds",
+          "steps_per_second", "rank_recoveries", "active_dims",
+          "ram_restores", "disk_restores", "restore_seconds"})
       if (e.find(key) == nullptr)
         return std::string("job missing '") + key + "'";
-    if (v2)
-      for (const char* key : {"rank_recoveries", "active_dims"})
-        if (e.find(key) == nullptr)
-          return std::string("job missing '") + key + "'";
-    if (v3)
-      for (const char* key :
-           {"ram_restores", "disk_restores", "restore_seconds"})
-        if (e.find(key) == nullptr)
-          return std::string("job missing '") + key + "'";
-    if (v4 && (e.find("dispatches_overtaken") == nullptr ||
-               !e.find("dispatches_overtaken")->is_number()))
-      return "job missing numeric 'dispatches_overtaken'";
-    if (v5 && (e.find("numeric_rollbacks") == nullptr ||
-               !e.find("numeric_rollbacks")->is_number()))
-      return "job missing numeric 'numeric_rollbacks'";
+    for (const char* key : {"dispatches_overtaken", "numeric_rollbacks"})
+      if (e.find(key) == nullptr || !e.find(key)->is_number())
+        return std::string("job missing numeric '") + key + "'";
     const std::string& state = e.find("state")->as_string();
     if (state != "queued" && state != "running" && state != "preempted" &&
         state != "backoff" && state != "completed" && state != "failed")

@@ -6,8 +6,7 @@
 // retries, preemptions, rank recoveries, fault summary), service-level
 // utilization, a `health` section covering per-rank quarantine state and
 // the capacity lost to faults, and an embedded `metrics` snapshot of the
-// pool's obs::MetricsRegistry.  Earlier revisions (v1..v3) still validate
-// for consumers replaying archived output.
+// pool's obs::MetricsRegistry.  Only the current revision validates.
 #pragma once
 
 #include <memory>
@@ -22,19 +21,6 @@
 namespace ca::service {
 
 inline constexpr const char* kReportSchema = "ca-agcm/service-report/v5";
-/// Previous schema revisions; validate_report still accepts all of them.
-/// v4 lacks the numeric-health fields (the health section's
-/// numeric_rollbacks / numeric_retry and the per-job numeric_rollbacks);
-/// v3 additionally lacks the embedded `metrics` snapshot (the pool's obs
-/// registry) and the per-job dispatches_overtaken counter; v2
-/// additionally lacks the per-job restore provenance fields
-/// (ram_restores / disk_restores / restore_seconds) and the health
-/// section's replication counters; v1 additionally lacks the health
-/// section and the per-job rank-recovery fields.
-inline constexpr const char* kReportSchemaV4 = "ca-agcm/service-report/v4";
-inline constexpr const char* kReportSchemaV3 = "ca-agcm/service-report/v3";
-inline constexpr const char* kReportSchemaV2 = "ca-agcm/service-report/v2";
-inline constexpr const char* kReportSchemaV1 = "ca-agcm/service-report/v1";
 
 using ServiceOptions = PoolOptions;
 
@@ -89,9 +75,9 @@ class EnsembleService {
 };
 
 /// Schema check of a service report; returns a description of the first
-/// problem, or empty when the document conforms to the v2 schema (or the
-/// legacy v1 schema, whose reports lack the health section).  Used by the
-/// bench's self-check and tests.
+/// problem, or empty when the document conforms to the current (v5)
+/// schema; any other schema tag is rejected.  Used by the bench's
+/// self-check and tests.
 std::string validate_report(const util::Json& doc);
 
 }  // namespace ca::service

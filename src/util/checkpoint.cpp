@@ -364,26 +364,12 @@ CheckpointHeader parse_checkpoint_image(std::span<const std::byte> image,
   };
 
   CheckpointHeader hdr;
-  // The v1 header is a strict prefix of v2, which is a strict prefix of
-  // v3: read the v1 prefix first, then the version-gated trailers field
-  // by field (exact sizes; the offsets are pinned by static_asserts in
-  // the header).
-  take(&hdr, kCheckpointHeaderV1Bytes);
-
-  CheckpointHeader expect;
+  take(&hdr, sizeof(hdr));
+  const CheckpointHeader expect;
   if (hdr.magic != expect.magic)
     throw std::runtime_error("not a ca-agcm checkpoint: " + what);
-  if (hdr.version < 1 || hdr.version > expect.version)
+  if (hdr.version != expect.version)
     throw std::runtime_error("unsupported checkpoint version: " + what);
-  if (hdr.version >= 2) {
-    take(&hdr.payload_crc, sizeof(hdr.payload_crc));
-    take(&hdr.reserved, sizeof(hdr.reserved));
-  }
-  if (hdr.version >= 3) {
-    take(&hdr.carry_bytes, sizeof(hdr.carry_bytes));
-    take(&hdr.carry_crc, sizeof(hdr.carry_crc));
-    take(&hdr.health, sizeof(hdr.health));
-  }
   if (hdr.nx != mesh.nx() || hdr.ny != mesh.ny() || hdr.nz != mesh.nz())
     throw std::runtime_error("checkpoint mesh mismatch: " + what);
   if (hdr.lnx != decomp.lnx() || hdr.lny != decomp.lny() ||
@@ -398,13 +384,9 @@ CheckpointHeader parse_checkpoint_image(std::span<const std::byte> image,
   std::vector<double> buf(count);
   take(buf.data(), buf.size() * sizeof(double));
 
-  if (hdr.version >= 2) {
-    const std::uint32_t crc =
-        crc32(std::as_bytes(std::span<const double>(buf)));
-    if (crc != hdr.payload_crc)
-      throw std::runtime_error(
-          "checkpoint payload CRC mismatch (bit rot?): " + what);
-  }
+  if (crc32(std::as_bytes(std::span<const double>(buf))) != hdr.payload_crc)
+    throw std::runtime_error(
+        "checkpoint payload CRC mismatch (bit rot?): " + what);
 
   if (carry != nullptr && hdr.carry_bytes > 0) {
     carry->resize(hdr.carry_bytes);
@@ -456,14 +438,12 @@ ChainReadResult read_checkpoint_chain(const std::string& path,
                                       std::vector<std::byte>* carry,
                                       const ChainReadOptions& opts) {
   std::vector<std::byte> image = slurp_file(path);
-  if (image.size() < kCheckpointHeaderV1Bytes)
+  if (image.size() < sizeof(CheckpointHeader))
     throw std::runtime_error("checkpoint read failed (truncated?): " + path);
   CheckpointHeader peek;
   // void* cast: the header has default member initializers (so it is not
-  // "trivial" for -Wclass-memaccess) but is trivially copyable, and only
-  // the v1 prefix is overwritten on purpose — the rest keeps defaults.
-  std::memcpy(static_cast<void*>(&peek), image.data(),
-              kCheckpointHeaderV1Bytes);
+  // "trivial" for -Wclass-memaccess) but is trivially copyable.
+  std::memcpy(static_cast<void*>(&peek), image.data(), sizeof(peek));
   CheckpointHeader expect;
   if (peek.magic != expect.magic)
     throw std::runtime_error("not a ca-agcm checkpoint: " + path);

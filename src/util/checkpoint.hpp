@@ -5,17 +5,16 @@
 // field so a mismatched configuration fails loudly instead of silently
 // reading garbage.
 //
-// Version 2 appends a CRC-32 of the payload to the header: comm messages
-// carry checksums since the fault-injection work, and the checkpoint path
-// gets the same defense against silent bit-rot on disk.
-//
-// Version 3 appends an optional, CRC-guarded *core-carry* extension block
-// after the payload: an opaque byte blob a core serializes through
-// CarryWriter/CarryReader for whatever cross-step state lives outside the
-// prognostic fields (the CA core's deferred smoothing and stale C
-// products — see core/ca_core.hpp).  Cores without carry state write an
-// empty block.  Version 1 and 2 files are still readable; writes always
-// emit version 3.
+// The header carries a CRC-32 of the payload (comm messages carry
+// checksums since the fault-injection work, and the checkpoint path gets
+// the same defense against silent bit-rot on disk), and an optional,
+// CRC-guarded *core-carry* extension block follows the payload: an opaque
+// byte blob a core serializes through CarryWriter/CarryReader for
+// whatever cross-step state lives outside the prognostic fields (the CA
+// core's deferred smoothing and stale C products — see
+// core/ca_core.hpp).  Cores without carry state write an empty block.
+// This is format version 3; files stamped with any other version are
+// rejected.
 //
 // Version 4 is a *delta* sidecar format, not a new base layout: the base
 // file at `<path>` is still a plain v3 checkpoint (bitwise identical to
@@ -74,10 +73,8 @@ struct CheckpointHeader {
   std::int32_t x0 = 0, y0 = 0, z0 = 0;        ///< block origin
   std::int64_t step = 0;                       ///< model step count
   double time_seconds = 0.0;                   ///< model time
-  // --- version >= 2 only (not present in v1 files) ---
   std::uint32_t payload_crc = 0;  ///< CRC-32 of the payload bytes
   std::uint32_t reserved = 0;     ///< keeps the header 8-byte aligned
-  // --- version >= 3 only (not present in v1/v2 files) ---
   std::uint64_t carry_bytes = 0;  ///< size of the core-carry block
   std::uint32_t carry_crc = 0;    ///< CRC-32 of the core-carry block
   /// Numerical-health verdict of the checkpointed state: 1 = verified
@@ -88,22 +85,13 @@ struct CheckpointHeader {
   std::uint32_t health = 0;
 };
 
-/// Size of the on-disk header prefix shared by every version (v1 files
-/// end their header here).
-inline constexpr std::size_t kCheckpointHeaderV1Bytes =
-    offsetof(CheckpointHeader, payload_crc);
-/// End of the v2 header (v2 files end their header here).
-inline constexpr std::size_t kCheckpointHeaderV2Bytes =
-    offsetof(CheckpointHeader, carry_bytes);
-
-// Pin the on-disk layout: the version-gated trailer reads depend on the
-// exact field offsets, so any accidental reordering/padding change must
+// Pin the on-disk layout: any accidental reordering/padding change must
 // fail the build instead of silently shifting the format.
 static_assert(offsetof(CheckpointHeader, step) == 48);
 static_assert(offsetof(CheckpointHeader, time_seconds) == 56);
-static_assert(kCheckpointHeaderV1Bytes == 64);
+static_assert(offsetof(CheckpointHeader, payload_crc) == 64);
 static_assert(offsetof(CheckpointHeader, reserved) == 68);
-static_assert(kCheckpointHeaderV2Bytes == 72);
+static_assert(offsetof(CheckpointHeader, carry_bytes) == 72);
 static_assert(offsetof(CheckpointHeader, carry_crc) == 80);
 static_assert(offsetof(CheckpointHeader, health) == 84);
 static_assert(sizeof(CheckpointHeader) == 88);
@@ -199,9 +187,9 @@ void write_checkpoint(const std::string& path,
 
 /// Reads a checkpoint into xi (halos untouched; callers re-exchange or
 /// restore them via the core's carry).  Returns the header.  When `carry`
-/// is non-null it receives the core-carry block (empty for v1/v2 files
-/// and for v3 files written without one), CRC-validated.  Throws
-/// std::runtime_error on I/O failure, any mesh/block mismatch, or a
+/// is non-null it receives the core-carry block (empty for files written
+/// without one), CRC-validated.  Throws std::runtime_error on I/O
+/// failure, a version other than 3, any mesh/block mismatch, or a
 /// payload/carry CRC mismatch.
 CheckpointHeader read_checkpoint(const std::string& path,
                                  const mesh::LatLonMesh& mesh,
@@ -225,10 +213,9 @@ std::vector<std::byte> build_checkpoint_image(
     const state::State& xi, std::int64_t step, double time_seconds,
     std::span<const std::byte> carry = {}, std::uint32_t health = 0);
 
-/// Parses a checkpoint image (any readable version) into xi — the
-/// in-memory twin of read_checkpoint, with identical validation (magic,
-/// version, mesh/block match, payload + carry CRC) and identical error
-/// messages.  `what` names the image in diagnostics (a path, or e.g.
+/// Parses a version-3 checkpoint image into xi — the in-memory twin of
+/// read_checkpoint, with identical validation (magic, version, mesh/block
+/// match, payload + carry CRC) and identical error messages.  `what` names the image in diagnostics (a path, or e.g.
 /// "buddy replica of rank 3").
 CheckpointHeader parse_checkpoint_image(std::span<const std::byte> image,
                                         const mesh::LatLonMesh& mesh,

@@ -157,112 +157,56 @@ TEST(Checkpoint, DetectsPayloadBitRot) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, ReadsVersion1Files) {
-  // A v1 file is the v1 header prefix (version word = 1, no CRC trailer)
-  // followed by the same payload.  It must still read — and, lacking a
-  // CRC, it cannot catch bit rot, which is exactly why v2 exists.
+TEST(Checkpoint, RejectsOtherVersions) {
+  // Only version 3 reads back.  A file stamped v1 or v2 (their shorter
+  // headers: 64 and 72 bytes) or any other version must fail loudly on
+  // the version — a v1 file has no payload CRC, so reading one would
+  // bring bit rot back silently.
   const auto c = cfg();
   mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
   mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
   state::State a(c.nx, c.ny, c.nz, core::halos_for_depth(1));
-  for (int k = 0; k < c.nz; ++k)
-    for (int j = 0; j < c.ny; ++j)
-      for (int i = 0; i < c.nx; ++i) a.u()(i, j, k) = i + 100.0 * j + k;
-  const std::string v2 = temp_prefix("v2src") + ".ckpt";
-  write_checkpoint(v2, mesh, d, a, 9, 1080.0);
-
-  // Rewrite as v1: header prefix with the version patched, then payload.
-  const std::string v1 = temp_prefix("v1") + ".ckpt";
-  {
-    std::FILE* in = std::fopen(v2.c_str(), "rb");
-    std::FILE* out = std::fopen(v1.c_str(), "wb");
-    ASSERT_NE(in, nullptr);
-    ASSERT_NE(out, nullptr);
-    CheckpointHeader hdr;
-    ASSERT_EQ(std::fread(&hdr, 1, sizeof(hdr), in), sizeof(hdr));
-    hdr.version = 1;
-    ASSERT_EQ(std::fwrite(&hdr, 1, kCheckpointHeaderV1Bytes, out),
-              kCheckpointHeaderV1Bytes);
-    for (int ch; (ch = std::fgetc(in)) != EOF;) std::fputc(ch, out);
-    std::fclose(in);
-    std::fclose(out);
-  }
-  state::State b(c.nx, c.ny, c.nz, core::halos_for_depth(1));
-  const auto hdr = read_checkpoint(v1, mesh, d, b);
-  EXPECT_EQ(hdr.version, 1u);
-  EXPECT_EQ(hdr.step, 9);
-  EXPECT_DOUBLE_EQ(state::State::max_abs_diff(a, b, a.interior()), 0.0);
-
-  // Same bit flip as the v2 test: a v1 file reads it back silently.
-  {
-    std::FILE* f = std::fopen(v1.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, static_cast<long>(kCheckpointHeaderV1Bytes) + 129,
-               SEEK_SET);
-    const int byte = std::fgetc(f);
-    std::fseek(f, -1, SEEK_CUR);
-    std::fputc(byte ^ 0x10, f);
-    std::fclose(f);
-  }
-  state::State rotted(c.nx, c.ny, c.nz, core::halos_for_depth(1));
-  EXPECT_NO_THROW(read_checkpoint(v1, mesh, d, rotted));
-  EXPECT_GT(state::State::max_abs_diff(a, rotted, a.interior()), 0.0);
-  std::remove(v2.c_str());
-  std::remove(v1.c_str());
-}
-
-TEST(Checkpoint, ReadsVersion2Files) {
-  // A v2 file ends its header at kCheckpointHeaderV2Bytes (no carry
-  // trailer).  It must still read with its payload CRC enforced — the
-  // exact-size trailer reads must not slurp v3 fields that are not there.
-  const auto c = cfg();
-  mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
-  mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
-  state::State a(c.nx, c.ny, c.nz, core::halos_for_depth(1));
-  for (int k = 0; k < c.nz; ++k)
-    for (int j = 0; j < c.ny; ++j)
-      for (int i = 0; i < c.nx; ++i) a.v()(i, j, k) = 7.0 * i - j + 0.5 * k;
   const std::string v3 = temp_prefix("v3src") + ".ckpt";
-  write_checkpoint(v3, mesh, d, a, 11, 1320.0);
+  write_checkpoint(v3, mesh, d, a, 9, 1080.0);
 
-  const std::string v2 = temp_prefix("v2") + ".ckpt";
-  {
-    std::FILE* in = std::fopen(v3.c_str(), "rb");
-    std::FILE* out = std::fopen(v2.c_str(), "wb");
-    ASSERT_NE(in, nullptr);
-    ASSERT_NE(out, nullptr);
-    CheckpointHeader hdr;
-    ASSERT_EQ(std::fread(&hdr, 1, sizeof(hdr), in), sizeof(hdr));
-    hdr.version = 2;
-    ASSERT_EQ(std::fwrite(&hdr, 1, kCheckpointHeaderV2Bytes, out),
-              kCheckpointHeaderV2Bytes);
-    for (int ch; (ch = std::fgetc(in)) != EOF;) std::fputc(ch, out);
-    std::fclose(in);
-    std::fclose(out);
+  struct Stamp {
+    std::uint32_t version;
+    std::size_t header_bytes;
+  };
+  for (const Stamp st : {Stamp{1, 64}, Stamp{2, 72}, Stamp{4, 88}}) {
+    SCOPED_TRACE(st.version);
+    const std::string old = temp_prefix("stamped") + ".ckpt";
+    {
+      std::FILE* in = std::fopen(v3.c_str(), "rb");
+      std::FILE* out = std::fopen(old.c_str(), "wb");
+      ASSERT_NE(in, nullptr);
+      ASSERT_NE(out, nullptr);
+      CheckpointHeader hdr;
+      ASSERT_EQ(std::fread(&hdr, 1, sizeof(hdr), in), sizeof(hdr));
+      hdr.version = st.version;
+      ASSERT_EQ(std::fwrite(&hdr, 1, st.header_bytes, out), st.header_bytes);
+      for (int ch; (ch = std::fgetc(in)) != EOF;) std::fputc(ch, out);
+      std::fclose(in);
+      std::fclose(out);
+    }
+    state::State b(c.nx, c.ny, c.nz, core::halos_for_depth(1));
+    auto diagnostic = [](auto&& read) -> std::string {
+      try {
+        read();
+      } catch (const std::runtime_error& e) {
+        return e.what();
+      }
+      return "read back without error";
+    };
+    for (const std::string& what :
+         {diagnostic([&] { read_checkpoint(old, mesh, d, b); }),
+          diagnostic([&] { read_checkpoint_chain(old, mesh, d, b); })})
+      EXPECT_NE(what.find("unsupported checkpoint version"),
+                std::string::npos)
+          << "unexpected diagnostic: " << what;
+    std::remove(old.c_str());
   }
-  state::State b(c.nx, c.ny, c.nz, core::halos_for_depth(1));
-  std::vector<std::byte> carry{std::byte{0xAA}};  // must come back empty
-  const auto hdr = read_checkpoint(v2, mesh, d, b, &carry);
-  EXPECT_EQ(hdr.version, 2u);
-  EXPECT_EQ(hdr.step, 11);
-  EXPECT_EQ(hdr.carry_bytes, 0u);
-  EXPECT_TRUE(carry.empty());
-  EXPECT_DOUBLE_EQ(state::State::max_abs_diff(a, b, a.interior()), 0.0);
-
-  // The v2 payload CRC still catches bit rot.
-  {
-    std::FILE* f = std::fopen(v2.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, static_cast<long>(kCheckpointHeaderV2Bytes) + 129,
-               SEEK_SET);
-    const int byte = std::fgetc(f);
-    std::fseek(f, -1, SEEK_CUR);
-    std::fputc(byte ^ 0x10, f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(read_checkpoint(v2, mesh, d, b), std::runtime_error);
   std::remove(v3.c_str());
-  std::remove(v2.c_str());
 }
 
 TEST(Checkpoint, TornWriteLeavesThePreviousCheckpointResumable) {

@@ -72,7 +72,9 @@ state::State solo_run(JobSpec spec, const std::string& prefix) {
   spec.faults = comm::FaultPlan();
   spec.checkpoint_every = 0;
   spec.comm = comm::RunOptions{};
-  AttemptResult r = run_attempt(spec, 1, 0, prefix, {});
+  AttemptOptions o;
+  o.checkpoint_prefix = prefix;
+  AttemptResult r = run_attempt(spec, o);
   EXPECT_TRUE(r.completed(spec.steps))
       << "solo reference for '" << spec.name << "' failed: " << r.error;
   return std::move(r.global);

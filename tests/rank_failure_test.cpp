@@ -299,7 +299,9 @@ state::State solo_run(svc::JobSpec spec, const std::string& prefix) {
   spec.node_faults.clear();
   spec.checkpoint_every = 0;
   spec.comm = comm::RunOptions{};
-  svc::AttemptResult r = svc::run_attempt(spec, 1, 0, prefix, {});
+  svc::AttemptOptions o;
+  o.checkpoint_prefix = prefix;
+  svc::AttemptResult r = svc::run_attempt(spec, o);
   EXPECT_TRUE(r.completed(spec.steps))
       << "solo reference for '" << spec.name << "' failed: " << r.error;
   return std::move(r.global);

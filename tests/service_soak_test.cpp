@@ -73,7 +73,9 @@ state::State solo_run(JobSpec spec, const std::string& prefix) {
   spec.faults = comm::FaultPlan();
   spec.checkpoint_every = 0;
   spec.comm = comm::RunOptions{};
-  AttemptResult r = run_attempt(spec, 1, 0, prefix, {});
+  AttemptOptions o;
+  o.checkpoint_prefix = prefix;
+  AttemptResult r = run_attempt(spec, o);
   EXPECT_TRUE(r.completed(spec.steps))
       << "solo reference for '" << spec.name << "' failed: " << r.error;
   return std::move(r.global);
@@ -451,7 +453,10 @@ TEST(ServiceSoak, RetryResumesFromTheCheckpointHeaderStep) {
   const state::State reference = solo_run(j, dir + "/solo");
 
   // Attempt 1 yields at the first checkpoint: file records step 2.
-  AttemptResult a1 = run_attempt(j, 1, 0, prefix, [] { return true; });
+  AttemptOptions o;
+  o.checkpoint_prefix = prefix;
+  o.should_yield = [] { return true; };
+  AttemptResult a1 = run_attempt(j, o);
   ASSERT_TRUE(a1.error.empty()) << a1.error;
   ASSERT_TRUE(a1.yielded);
   ASSERT_EQ(a1.end_step, 2);
@@ -459,14 +464,18 @@ TEST(ServiceSoak, RetryResumesFromTheCheckpointHeaderStep) {
   // Stand-in for the failed attempt that checkpointed mid-run: resume
   // from 2, yield again at step 4 — the file now records step 4, while
   // the pool's yield mark is still 2.
-  AttemptResult a2 = run_attempt(j, 2, 2, prefix, [] { return true; });
+  o.attempt = 2;
+  o.start_step = 2;
+  AttemptResult a2 = run_attempt(j, o);
   ASSERT_TRUE(a2.error.empty()) << a2.error;
   ASSERT_TRUE(a2.yielded);
   ASSERT_EQ(a2.end_step, 4);
 
   // The retry with the stale start_step label must pick up at the
   // header's step 4 and land bitwise on the solo trajectory.
-  AttemptResult a3 = run_attempt(j, 3, 2, prefix, {});
+  o.attempt = 3;
+  o.should_yield = nullptr;
+  AttemptResult a3 = run_attempt(j, o);
   ASSERT_TRUE(a3.error.empty()) << a3.error;
   ASSERT_TRUE(a3.completed(j.steps));
   expect_bitwise(a3.global, reference, j.name);
@@ -488,7 +497,10 @@ TEST(ServiceSoak, InconsistentCheckpointSetFailsTheAttempt) {
   j.steps = 4;
   j.checkpoint_every = 2;
 
-  AttemptResult a1 = run_attempt(j, 1, 0, prefix, [] { return true; });
+  AttemptOptions o;
+  o.checkpoint_prefix = prefix;
+  o.should_yield = [] { return true; };
+  AttemptResult a1 = run_attempt(j, o);
   ASSERT_TRUE(a1.error.empty()) << a1.error;
   ASSERT_EQ(a1.end_step, 2);
 
@@ -498,14 +510,18 @@ TEST(ServiceSoak, InconsistentCheckpointSetFailsTheAttempt) {
   std::filesystem::copy_file(
       r0, r0 + ".step2",
       std::filesystem::copy_options::overwrite_existing);
-  AttemptResult a2 = run_attempt(j, 2, 2, prefix, [] { return true; });
+  o.attempt = 2;
+  o.start_step = 2;
+  AttemptResult a2 = run_attempt(j, o);
   ASSERT_TRUE(a2.error.empty()) << a2.error;
   ASSERT_EQ(a2.end_step, 4);
   std::filesystem::copy_file(
       r0 + ".step2", r0,
       std::filesystem::copy_options::overwrite_existing);
 
-  AttemptResult a3 = run_attempt(j, 3, 2, prefix, {});
+  o.attempt = 3;
+  o.should_yield = nullptr;
+  AttemptResult a3 = run_attempt(j, o);
   EXPECT_FALSE(a3.error.empty())
       << "an attempt resumed a mixed-step checkpoint set";
   EXPECT_NE(a3.error.find("inconsistent checkpoint set"), std::string::npos)

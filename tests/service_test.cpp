@@ -1,6 +1,7 @@
-// Ensemble-service units that need no rank groups: JobSpec validation,
-// the Scheduler's priority + FIFO + backoff + rank-fit policy, report
-// schema self-checks, and the submit-side backpressure behavior.
+// Ensemble-service units on small serial jobs (one-rank worlds): JobSpec
+// validation, the Scheduler's priority + FIFO + backoff + rank-fit
+// policy, report schema self-checks, fault hooks on serial steps, and
+// the submit-side backpressure behavior.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -300,29 +301,22 @@ TEST(Service, SweepsStaleTmpCheckpointsAtStartup) {
   fs::remove_all(dir);
 }
 
-TEST(Report, LegacyV1ReportsStillValidate) {
-  // Archived v1 reports have no health section and no per-job
-  // rank-recovery fields; they must keep validating, while a v2-tagged
-  // report missing its health section must not.
-  const char* v1 = R"({
-    "schema": "ca-agcm/service-report/v1",
-    "service": {"slots": 1, "rank_budget": 2, "queue_capacity": 4,
-                "wall_seconds": 1.0, "jobs_submitted": 1,
-                "jobs_completed": 1, "jobs_failed": 0,
-                "max_concurrent_jobs": 1, "max_ranks_in_flight": 2,
-                "preemptions": 0, "retries": 0, "rank_seconds_busy": 0.5,
-                "utilization": 0.25},
-    "jobs": [{"id": 0, "name": "j", "core": "serial", "state": "completed",
-              "steps": 2, "steps_done": 2, "attempts": 1, "preemptions": 0,
-              "queue_wait_seconds": 0.0, "run_seconds": 0.5,
-              "steps_per_second": 4.0, "comm": {}, "faults": {}}]
-  })";
-  EXPECT_EQ(validate_report(util::Json::parse(v1)), "");
-
-  std::string v2_missing_health = v1;
-  v2_missing_health.replace(v2_missing_health.find("/v1"), 3, "/v2");
-  EXPECT_NE(validate_report(util::Json::parse(v2_missing_health)), "")
-      << "a v2 report without the health section must be rejected";
+TEST(Report, OlderSchemaTagsAreRejected) {
+  // Only the current schema validates: a report whose content is complete
+  // but whose tag names an older revision fails on the tag alone.
+  ServiceOptions opt;
+  opt.slots = 1;
+  opt.rank_budget = 1;
+  opt.checkpoint_dir = std::filesystem::temp_directory_path().string();
+  EnsembleService svc(opt);
+  util::Json report = svc.report();
+  ASSERT_EQ(validate_report(report), "");
+  for (const char* tag :
+       {"ca-agcm/service-report/v1", "ca-agcm/service-report/v2",
+        "ca-agcm/service-report/v3", "ca-agcm/service-report/v4"}) {
+    report["schema"] = tag;
+    EXPECT_EQ(validate_report(report), "missing/wrong schema tag") << tag;
+  }
 }
 
 TEST(Service, RejectsInvalidSubmit) {
@@ -419,6 +413,32 @@ TEST(Service, ResultTakesTheFinalStateExactlyOnce) {
   EXPECT_EQ(second.final_state.interior().volume(), 0);
   // Non-state fields stay reportable on every call.
   EXPECT_EQ(second.steps_done, first.steps_done);
+}
+
+TEST(Service, SerialJobsHonourStallFaults) {
+  // A serial job runs in a one-rank world, so its steps pass the same
+  // fault-injection step boundary (Context::notify_step) as distributed
+  // jobs: a faults.stall rule fires.  One rank has no peer to talk to,
+  // so the job still sends nothing.
+  ServiceOptions opt;
+  opt.slots = 1;
+  opt.rank_budget = 1;
+  opt.checkpoint_dir = std::filesystem::temp_directory_path().string();
+  EnsembleService svc(opt);
+  JobSpec s = tiny_spec();
+  s.steps = 3;
+  s.checkpoint_every = 1;
+  s.faults = comm::FaultPlan::from_config(util::Config::from_text(
+      "faults.stall = 1.0\nfaults.stall_polls = 1\n"));
+  const int id = svc.submit(s);
+  svc.wait(id);
+
+  const JobResult r = svc.result(id);
+  ASSERT_EQ(r.state, JobState::kCompleted) << r.error;
+  EXPECT_GT(r.faults.injected_stall, 0u)
+      << "the stall rule never reached the serial job's steps";
+  EXPECT_EQ(r.metrics.messages, 0u);
+  EXPECT_EQ(r.metrics.bytes, 0u);
 }
 
 TEST(Service, NonBlockingSubmitBackpressure) {
