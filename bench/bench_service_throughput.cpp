@@ -714,8 +714,9 @@ int main(int argc, char** argv) {
         mix.wall = seconds_since(start);
         summarize(mix, svc, ids);
         util_on = service_metric(mix, "utilization");
-        shrinks = svc.elastic_shrinks();
-        grows = svc.elastic_grows();
+        const service::PoolCounters c = svc.counters();
+        shrinks = c.elastic_shrinks;
+        grows = c.elastic_grows;
       } else {
         const util::Json rep = svc.report();
         util_off =

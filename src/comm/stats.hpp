@@ -85,7 +85,6 @@ class CommStats {
 
   PhaseStats phase_totals(const std::string& phase) const;
   PhaseStats grand_totals() const;
-  const std::map<std::string, PhaseStats>& by_phase() const { return stats_; }
   void clear();
 
  private:

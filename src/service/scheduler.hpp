@@ -37,7 +37,6 @@ class Scheduler {
   double effective_priority(const Job& j, TimePoint now) const;
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return queue_.size(); }
   bool empty() const { return queue_.empty(); }
   /// Whether a NEW submission must wait (backpressure).
   bool full() const { return queue_.size() >= capacity_; }

@@ -1,6 +1,5 @@
 #include "service/service.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 namespace ca::service {
@@ -29,7 +28,7 @@ util::Json fault_json(const comm::FaultSummary& s) {
 }  // namespace
 
 EnsembleService::EnsembleService(const ServiceOptions& options)
-    : pool_(options), started_at_(std::chrono::steady_clock::now()) {}
+    : pool_(options) {}
 
 EnsembleService::~EnsembleService() { pool_.shutdown(); }
 
@@ -74,14 +73,20 @@ JobState EnsembleService::state(int job_id) const {
 }
 
 util::Json EnsembleService::report() {
-  const double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - started_at_)
-                          .count();
+  const PoolCounters c = pool_.counters();
   std::vector<std::shared_ptr<Job>> jobs;
   {
     std::lock_guard<std::mutex> lk(jobs_mu_);
     for (const auto& j : jobs_)
       if (j != nullptr) jobs.push_back(j);
+  }
+  std::vector<JobResult> results;
+  results.reserve(jobs.size());
+  std::size_t completed = 0, failed = 0;
+  for (const auto& j : jobs) {
+    results.push_back(pool_.snapshot(*j, /*take_state=*/false));
+    completed += results.back().state == JobState::kCompleted;
+    failed += results.back().state == JobState::kFailed;
   }
 
   util::Json doc = util::Json::object();
@@ -91,34 +96,28 @@ util::Json EnsembleService::report() {
   svc["slots"] = pool_.options().slots;
   svc["rank_budget"] = pool_.options().rank_budget;
   svc["queue_capacity"] = static_cast<double>(pool_.options().queue_capacity);
-  svc["wall_seconds"] = wall;
+  svc["wall_seconds"] = c.wall_seconds;
   svc["jobs_submitted"] = static_cast<double>(jobs.size());
-  std::size_t completed = 0, failed = 0;
-  for (const auto& j : jobs) {
-    const JobState s = pool_.state(*j);
-    completed += s == JobState::kCompleted;
-    failed += s == JobState::kFailed;
-  }
   svc["jobs_completed"] = static_cast<double>(completed);
   svc["jobs_failed"] = static_cast<double>(failed);
-  svc["max_concurrent_jobs"] = pool_.max_concurrent_jobs();
-  svc["max_ranks_in_flight"] = pool_.max_ranks_in_flight();
-  svc["preemptions"] = static_cast<double>(pool_.preemptions());
-  svc["retries"] = static_cast<double>(pool_.retries());
-  svc["elastic_shrinks"] = static_cast<double>(pool_.elastic_shrinks());
-  svc["elastic_grows"] = static_cast<double>(pool_.elastic_grows());
-  svc["rank_seconds_busy"] = pool_.rank_seconds_busy();
+  svc["max_concurrent_jobs"] = c.max_concurrent_jobs;
+  svc["max_ranks_in_flight"] = c.max_ranks_in_flight;
+  svc["preemptions"] = static_cast<double>(c.preemptions);
+  svc["retries"] = static_cast<double>(c.retries);
+  svc["elastic_shrinks"] = static_cast<double>(c.elastic_shrinks);
+  svc["elastic_grows"] = static_cast<double>(c.elastic_grows);
+  svc["rank_seconds_busy"] = c.rank_seconds_busy;
   svc["utilization"] =
-      wall > 0.0 ? pool_.rank_seconds_busy() /
-                       (pool_.options().rank_budget * wall)
-                 : 0.0;
+      c.wall_seconds > 0.0
+          ? c.rank_seconds_busy / (pool_.options().rank_budget * c.wall_seconds)
+          : 0.0;
   doc["service"] = std::move(svc);
 
   // The health section (new in v2): per-rank quarantine state plus the
   // recovery counters the rank-failure tests assert on.
   util::Json health = util::Json::object();
   util::Json rank_arr = util::Json::array();
-  for (const auto& rh : pool_.rank_health()) {
+  for (const auto& rh : c.ranks) {
     util::Json r = util::Json::object();
     r["id"] = rh.id;
     r["status"] = rh.status;
@@ -127,10 +126,10 @@ util::Json EnsembleService::report() {
     rank_arr.push_back(std::move(r));
   }
   health["ranks"] = std::move(rank_arr);
-  health["jobs_recovered"] = static_cast<double>(pool_.jobs_recovered());
-  health["quarantines"] = static_cast<double>(pool_.quarantines());
-  health["ranks_retired"] = pool_.ranks_retired();
-  health["degraded_rank_seconds"] = pool_.degraded_rank_seconds();
+  health["jobs_recovered"] = static_cast<double>(c.jobs_recovered);
+  health["quarantines"] = static_cast<double>(c.quarantines);
+  health["ranks_retired"] = c.ranks_retired;
+  health["degraded_rank_seconds"] = c.degraded_rank_seconds;
   // Replication counters (new in v3): RAM replica traffic and footprint.
   health["replication_enabled"] = pool_.options().replicate;
   health["replica_deposits"] =
@@ -142,18 +141,13 @@ util::Json EnsembleService::report() {
   health["sentinel_enabled"] = pool_.options().health.enabled();
   health["sentinel_cadence"] = pool_.options().health.cadence;
   health["numeric_retry"] = pool_.options().numeric_retry;
-  health["numeric_rollbacks"] =
-      static_cast<double>(pool_.numeric_rollbacks());
+  health["numeric_rollbacks"] = static_cast<double>(c.numeric_rollbacks);
   doc["health"] = std::move(health);
 
-  // The metrics snapshot (new in v4): the pool's obs registry, rendered
-  // whole so report consumers get every service counter/histogram without
-  // a key-by-key schema bump each time one is added.
-  doc["metrics"] = pool_.metrics().snapshot();
-
   util::Json arr = util::Json::array();
-  for (const auto& j : jobs) {
-    const JobResult r = pool_.snapshot(*j, /*take_state=*/false);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto& j = jobs[i];
+    const JobResult& r = results[i];
     util::Json e = util::Json::object();
     e["id"] = r.id;
     e["name"] = r.name;
@@ -242,12 +236,6 @@ std::string validate_report(const util::Json& doc) {
     if (st != "healthy" && st != "quarantined" && st != "retired")
       return "health rank entry has unknown status '" + st + "'";
   }
-  const util::Json* metrics = doc.find("metrics");
-  if (metrics == nullptr || !metrics->is_object())
-    return "missing metrics object";
-  for (const char* key : {"counters", "gauges", "histograms"})
-    if (metrics->find(key) == nullptr || !metrics->find(key)->is_array())
-      return std::string("metrics missing array '") + key + "'";
   const util::Json* jobs = doc.find("jobs");
   if (jobs == nullptr || !jobs->is_array()) return "missing jobs array";
   for (const auto& e : jobs->items()) {

@@ -1,12 +1,13 @@
 // EnsembleService: the front door of the multi-run scheduler.  Callers
 // submit JobSpecs (validated here), the WorkerPool multiplexes them over
 // the shared rank budget, and the service keeps the full job ledger it
-// exports as a versioned JSON report ("ca-agcm/service-report/v5") with
+// exports as a versioned JSON report ("ca-agcm/service-report/v6") with
 // per-job metrics (queue wait, run seconds, steps/sec, comm traffic,
 // retries, preemptions, rank recoveries, fault summary), service-level
-// utilization, a `health` section covering per-rank quarantine state and
-// the capacity lost to faults, and an embedded `metrics` snapshot of the
-// pool's obs::MetricsRegistry.  Only the current revision validates.
+// utilization, and a `health` section covering per-rank quarantine state
+// and the capacity lost to faults.  The `service` and `health` sections
+// come from one WorkerPool::counters() snapshot.  Only the current
+// revision validates.
 #pragma once
 
 #include <memory>
@@ -20,7 +21,7 @@
 
 namespace ca::service {
 
-inline constexpr const char* kReportSchema = "ca-agcm/service-report/v5";
+inline constexpr const char* kReportSchema = "ca-agcm/service-report/v6";
 
 using ServiceOptions = PoolOptions;
 
@@ -52,18 +53,8 @@ class EnsembleService {
   /// Builds the service report over every job submitted so far.
   util::Json report();
 
-  // Pool counters, surfaced for tests/benches.
-  int max_concurrent_jobs() const { return pool_.max_concurrent_jobs(); }
-  std::uint64_t preemptions() const { return pool_.preemptions(); }
-  std::uint64_t retries() const { return pool_.retries(); }
-  std::uint64_t elastic_shrinks() const { return pool_.elastic_shrinks(); }
-  std::uint64_t elastic_grows() const { return pool_.elastic_grows(); }
-  std::uint64_t jobs_recovered() const { return pool_.jobs_recovered(); }
-  std::uint64_t quarantines() const { return pool_.quarantines(); }
-  int ranks_retired() const { return pool_.ranks_retired(); }
-  std::vector<RankHealthInfo> rank_health() const {
-    return pool_.rank_health();
-  }
+  /// One consistent snapshot of the pool counters, for tests/benches.
+  PoolCounters counters() const { return pool_.counters(); }
 
  private:
   std::shared_ptr<Job> find(int job_id) const;
@@ -71,11 +62,10 @@ class EnsembleService {
   WorkerPool pool_;
   mutable std::mutex jobs_mu_;
   std::vector<std::shared_ptr<Job>> jobs_;  // index == job id
-  std::chrono::steady_clock::time_point started_at_;
 };
 
 /// Schema check of a service report; returns a description of the first
-/// problem, or empty when the document conforms to the current (v5)
+/// problem, or empty when the document conforms to the current (v6)
 /// schema; any other schema tag is rejected.  Used by the bench's
 /// self-check and tests.
 std::string validate_report(const util::Json& doc);

@@ -78,7 +78,8 @@ WorkerPool::WorkerPool(const PoolOptions& options)
     : options_(options),
       scheduler_(options.queue_capacity),
       ranks_(static_cast<std::size_t>(std::max(0, options.rank_budget))),
-      busy_mark_(Clock::now()) {
+      started_at_(Clock::now()),
+      busy_mark_(started_at_) {
   scheduler_.set_aging_rate(options_.aging_rate);
   // Environment-sensitive reliability defaults: CI legs flip replication
   // and delta chaining on for pools constructed DIRECTLY from PoolOptions
@@ -179,7 +180,6 @@ bool WorkerPool::submit(const std::shared_ptr<Job>& job, bool block) {
     job->checkpoint_prefix = options_.checkpoint_dir + "/ca_service_job" +
                              std::to_string(job->id);
   ++in_flight_;
-  metrics_.counter("service.jobs_submitted").add(1);
   tracer_.instant("admit", "service",
                   "job " + std::to_string(job->id) + " '" +
                       job->spec.name + "' priority " +
@@ -191,7 +191,6 @@ bool WorkerPool::submit(const std::shared_ptr<Job>& job, bool block) {
       request_preemption(best->spec.priority, best->ranks());
     work_cv_.notify_all();
   }
-  update_gauges();
   return true;
 }
 
@@ -261,52 +260,31 @@ void WorkerPool::shutdown() {
   });
 }
 
-int WorkerPool::max_concurrent_jobs() const {
+PoolCounters WorkerPool::counters() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return max_concurrent_;
-}
-
-int WorkerPool::max_ranks_in_flight() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return max_ranks_in_flight_;
-}
-
-std::uint64_t WorkerPool::preemptions() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return preemptions_;
-}
-
-std::uint64_t WorkerPool::retries() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return retries_;
-}
-
-std::uint64_t WorkerPool::elastic_shrinks() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return elastic_shrinks_;
-}
-
-std::uint64_t WorkerPool::elastic_grows() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return elastic_grows_;
-}
-
-double WorkerPool::rank_seconds_busy() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  int busy = 0;
-  for (const auto& rh : ranks_)
-    if (rh.busy) ++busy;
-  return rank_seconds_busy_ + busy * seconds_between(busy_mark_, Clock::now());
-}
-
-std::vector<RankHealthInfo> WorkerPool::rank_health() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::vector<RankHealthInfo> out;
-  out.reserve(ranks_.size());
+  const auto now = Clock::now();
+  PoolCounters c;
+  c.wall_seconds = seconds_between(started_at_, now);
+  c.max_concurrent_jobs = max_concurrent_;
+  c.max_ranks_in_flight = max_ranks_in_flight_;
+  c.preemptions = preemptions_;
+  c.retries = retries_;
+  c.elastic_shrinks = elastic_shrinks_;
+  c.elastic_grows = elastic_grows_;
+  c.jobs_recovered = jobs_recovered_;
+  c.numeric_rollbacks = numeric_rollbacks_;
+  c.quarantines = quarantines_;
+  c.ranks_retired = ranks_retired_;
+  // The integrals as accrue_busy_time() would fold them at `now`.
+  int busy = 0, impaired = 0;
+  c.ranks.reserve(ranks_.size());
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const RankHealth& rh = ranks_[r];
+    if (rh.busy) ++busy;
+    if (rh.status != RankStatus::kHealthy) ++impaired;
     RankHealthInfo info;
     info.id = static_cast<int>(r);
-    switch (ranks_[r].status) {
+    switch (rh.status) {
       case RankStatus::kHealthy:
         info.status = "healthy";
         break;
@@ -317,47 +295,14 @@ std::vector<RankHealthInfo> WorkerPool::rank_health() const {
         info.status = "retired";
         break;
     }
-    info.strikes = ranks_[r].strikes;
-    info.quarantines = ranks_[r].quarantines;
-    out.push_back(std::move(info));
+    info.strikes = rh.strikes;
+    info.quarantines = rh.quarantines;
+    c.ranks.push_back(std::move(info));
   }
-  return out;
-}
-
-std::uint64_t WorkerPool::jobs_recovered() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return jobs_recovered_;
-}
-
-std::uint64_t WorkerPool::numeric_rollbacks() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return numeric_rollbacks_;
-}
-
-void WorkerPool::update_gauges() {
-  metrics_.gauge("service.queue_depth")
-      .set(static_cast<double>(scheduler_.size()));
-  metrics_.gauge("service.free_ranks")
-      .set(static_cast<double>(free_rank_count()));
-}
-
-std::uint64_t WorkerPool::quarantines() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return quarantines_;
-}
-
-int WorkerPool::ranks_retired() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return ranks_retired_;
-}
-
-double WorkerPool::degraded_rank_seconds() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  int impaired = 0;
-  for (const auto& rh : ranks_)
-    if (rh.status != RankStatus::kHealthy) ++impaired;
-  return degraded_rank_seconds_ +
-         impaired * seconds_between(busy_mark_, Clock::now());
+  const double dt = seconds_between(busy_mark_, now);
+  c.rank_seconds_busy = rank_seconds_busy_ + busy * dt;
+  c.degraded_rank_seconds = degraded_rank_seconds_ + impaired * dt;
+  return c;
 }
 
 void WorkerPool::accrue_busy_time() {
@@ -399,7 +344,6 @@ Clock::time_point WorkerPool::revive_ranks(Clock::time_point now) {
     else
       earliest = std::min(earliest, rh.until);
   }
-  update_gauges();
   return earliest;
 }
 
@@ -410,13 +354,11 @@ void WorkerPool::quarantine_rank(int pool_rank, Clock::time_point now) {
   ++rh.strikes;
   ++rh.quarantines;
   ++quarantines_;
-  metrics_.counter("service.quarantines").add(1);
   if (rh.strikes >= options_.max_rank_strikes) {
     // Circuit breaker: this rank keeps killing attempts — retire it for
     // good and deal with the permanently smaller budget right away.
     rh.status = RankStatus::kRetired;
     ++ranks_retired_;
-    metrics_.counter("service.ranks_retired").add(1);
     tracer_.instant("retire", "service",
                     "pool rank " + std::to_string(pool_rank) + " after " +
                         std::to_string(rh.strikes) + " strikes");
@@ -514,7 +456,6 @@ std::string WorkerPool::refit_job(Job& job, int target) {
 void WorkerPool::fail_job(Job& job, const std::string& error) {
   job.error = error;
   job.state = JobState::kFailed;
-  metrics_.counter("service.jobs_failed").add(1);
   if (!job.checkpoint_prefix.empty())
     replicas_.erase_prefix(job.checkpoint_prefix);
   if (job.metrics.run_seconds > 0.0)
@@ -582,7 +523,6 @@ void WorkerPool::request_preemption(int priority, int needed) {
     if (needed <= 0) break;
     v->yield_requested.store(true, std::memory_order_relaxed);
     needed -= v->ranks();
-    metrics_.counter("service.preempt_requests").add(1);
     tracer_.instant("preempt_request", "service",
                     "job " + std::to_string(v->id) + " asked to yield " +
                         std::to_string(v->ranks()) + " rank(s) for priority " +
@@ -612,7 +552,6 @@ void WorkerPool::worker_loop() {
           const auto narrow = job->active_dims;
           if (refit_job(*job, room).empty() && job->active_dims != narrow) {
             ++elastic_grows_;
-            metrics_.counter("service.elastic_grows").add(1);
             tracer_.instant("elastic_grow", "service",
                             "job " + std::to_string(job->id) + " re-grown " +
                                 std::to_string(narrow[0] * narrow[1] *
@@ -645,25 +584,19 @@ void WorkerPool::worker_loop() {
       max_concurrent_ =
           std::max(max_concurrent_, static_cast<int>(running_.size()));
       job->state = JobState::kRunning;
-      const double waited = seconds_between(job->last_queued_at, now);
-      job->metrics.queue_wait_seconds += waited;
+      job->metrics.queue_wait_seconds +=
+          seconds_between(job->last_queued_at, now);
       // Dispatch-order fairness accounting: how many OTHER dispatches
       // happened while this job sat in the queue.  Wall-clock-free, so
       // the soak tests can bound aging behavior on any machine speed.
       job->metrics.dispatches_overtaken += dispatches_ - job->dispatch_mark;
       ++dispatches_;
       ++job->metrics.attempts;
-      metrics_.counter("service.dispatches").add(1);
-      metrics_
-          .histogram("service.queue_wait_seconds",
-                     {0.001, 0.01, 0.1, 1.0, 10.0})
-          .observe(waited);
       tracer_.instant("dispatch", "service",
                       "job " + std::to_string(job->id) + " attempt " +
                           std::to_string(job->metrics.attempts) + " on " +
                           std::to_string(job->ranks()) + " rank(s)");
       space_cv_.notify_all();
-      update_gauges();
       lk.unlock();
       execute(job);
       lk.lock();
@@ -684,7 +617,6 @@ void WorkerPool::worker_loop() {
           if (refit_job(*best, free_rank_count()).empty() &&
               best->active_dims != wide) {
             ++elastic_shrinks_;
-            metrics_.counter("service.elastic_shrinks").add(1);
             tracer_.instant("elastic_shrink", "service",
                             "job " + std::to_string(best->id) +
                                 " squeezed " +
@@ -819,7 +751,6 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
     } else {
       ++jobs_recovered_;
       ++job->metrics.rank_recoveries;
-      metrics_.counter("service.rank_recoveries").add(1);
       tracer_.instant("recovery", "service",
                       "job " + std::to_string(job->id) +
                           " re-queued after pool rank " +
@@ -853,7 +784,6 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
     job->error = out.error;
     ++numeric_rollbacks_;
     ++job->metrics.numeric_rollbacks;
-    metrics_.counter("service.numeric_rollbacks").add(1);
     // Poison containment: the RAM replicas may hold cadences of the
     // blown-up trajectory; purge them so the rollback restores from the
     // verified disk chain only.
@@ -869,7 +799,6 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
     if (job->metrics.numeric_rollbacks > options_.numeric_retry) {
       job->state = JobState::kFailed;
       terminal = true;
-      metrics_.counter("service.numeric_retry_exhausted").add(1);
       tracer_.instant("numeric_retry_exhausted", "service",
                       "job " + std::to_string(job->id) + " failed after " +
                           std::to_string(job->metrics.numeric_rollbacks) +
@@ -890,7 +819,6 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
     job->error = out.error;  // latest failure retained either way
     if (job->metrics.attempts < job->spec.max_attempts) {
       ++retries_;
-      metrics_.counter("service.retries").add(1);
       tracer_.instant("retry", "service",
                       "job " + std::to_string(job->id) + " attempt " +
                           std::to_string(job->metrics.attempts) +
@@ -913,7 +841,6 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
       // Retry budget exhausted: a terminal failure the operator will want
       // a postmortem for.  The scheduler ring holds the service-side story
       // (dispatches, retries, quarantines leading up to it).
-      metrics_.counter("service.retry_exhausted").add(1);
       tracer_.instant("retry_exhausted", "service",
                       "job " + std::to_string(job->id) + " failed after " +
                           std::to_string(job->metrics.attempts) +
@@ -925,7 +852,6 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
   } else if (out.yielded) {
     ++preemptions_;
     ++job->metrics.preemptions;
-    metrics_.counter("service.preemptions").add(1);
     tracer_.instant("yield", "service",
                     "job " + std::to_string(job->id) + " yielded at step " +
                         std::to_string(out.end_step));
@@ -944,10 +870,6 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
   }
 
   if (terminal) {
-    metrics_
-        .counter(job->state == JobState::kCompleted ? "service.jobs_completed"
-                                                    : "service.jobs_failed")
-        .add(1);
     // Terminal jobs never resume; release their RAM images.
     replicas_.erase_prefix(job->checkpoint_prefix);
     if (job->metrics.run_seconds > 0.0)
@@ -959,7 +881,6 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
     --in_flight_;
     done_cv_.notify_all();
   }
-  update_gauges();
   work_cv_.notify_all();
 }
 

@@ -32,6 +32,7 @@
 //     room to spare it re-grows toward its submitted dims.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -41,7 +42,6 @@
 #include <vector>
 
 #include "core/health.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/job.hpp"
 #include "service/replica.hpp"
@@ -109,12 +109,47 @@ struct PoolOptions {
   static PoolOptions from_config(const util::Config& cfg);
 };
 
-/// Reportable health of one pool rank (see WorkerPool::rank_health).
+/// Reportable health of one pool rank (see PoolCounters::ranks).
 struct RankHealthInfo {
   int id = 0;
   std::string status;  ///< "healthy" | "quarantined" | "retired"
   int strikes = 0;
   int quarantines = 0;
+};
+
+/// The pool's service-level accounting, read under one lock at one clock
+/// instant (WorkerPool::counters), so the time integrals and wall_seconds
+/// agree: rank_seconds_busy never exceeds rank_budget * wall_seconds.
+/// Stable once the pool is drained.
+struct PoolCounters {
+  /// Seconds since the pool was constructed, at the snapshot instant.
+  double wall_seconds = 0.0;
+  int max_concurrent_jobs = 0;
+  int max_ranks_in_flight = 0;
+  std::uint64_t preemptions = 0;
+  std::uint64_t retries = 0;
+  /// Elastic refits (options().elastic only): jobs squeezed below their
+  /// submitted decomposition to run on idle ranks, and re-grown toward it
+  /// when room returned.
+  std::uint64_t elastic_shrinks = 0;
+  std::uint64_t elastic_grows = 0;
+  /// Integral of ranks-in-use over time [rank-seconds]; utilization is
+  /// this over (rank_budget * wall_seconds).
+  double rank_seconds_busy = 0.0;
+  // --- rank health (the report's `health` section) ---
+  std::vector<RankHealthInfo> ranks;  ///< index = pool rank id
+  /// Attempts abandoned to a dead rank and re-queued for recovery.
+  std::uint64_t jobs_recovered = 0;
+  /// Sentinel-tripped attempts rolled back to a healthy checkpoint
+  /// (NumericalError incidents, summed over jobs).
+  std::uint64_t numeric_rollbacks = 0;
+  /// Quarantine events (a rank may contribute several).
+  std::uint64_t quarantines = 0;
+  /// Ranks permanently retired by the circuit breaker.
+  int ranks_retired = 0;
+  /// Integral of impaired (quarantined + retired) ranks over time
+  /// [rank-seconds]: how much advertised capacity was lost to faults.
+  double degraded_rank_seconds = 0.0;
 };
 
 class WorkerPool {
@@ -132,11 +167,6 @@ class WorkerPool {
   /// options().replicate is set.
   ReplicaStore& replicas() { return replicas_; }
   const ReplicaStore& replicas() const { return replicas_; }
-
-  /// Service-level metrics registry (counters/histograms the report's v4
-  /// `metrics` section snapshots).  Thread-safe on its own locks.
-  obs::MetricsRegistry& metrics() { return metrics_; }
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// Enqueues a validated job.  Blocks while the queue is full
   /// (backpressure) when `block`; otherwise returns false immediately.
@@ -159,34 +189,8 @@ class WorkerPool {
   /// drain is never held up by a long exponential backoff.
   void shutdown();
 
-  // --- service-level counters (stable once the pool is drained) ---
-  int max_concurrent_jobs() const;
-  int max_ranks_in_flight() const;
-  std::uint64_t preemptions() const;
-  std::uint64_t retries() const;
-  /// Elastic refits (options().elastic only): jobs squeezed below their
-  /// submitted decomposition to run on idle ranks, and re-grown toward it
-  /// when room returned.
-  std::uint64_t elastic_shrinks() const;
-  std::uint64_t elastic_grows() const;
-  /// Integral of ranks-in-use over time [rank-seconds]; utilization is
-  /// this over (rank_budget * service wall time).
-  double rank_seconds_busy() const;
-
-  // --- rank health (the report's `health` section) ---
-  std::vector<RankHealthInfo> rank_health() const;
-  /// Attempts abandoned to a dead rank and re-queued for recovery.
-  std::uint64_t jobs_recovered() const;
-  /// Sentinel-tripped attempts rolled back to a healthy checkpoint
-  /// (NumericalError incidents, summed over jobs).
-  std::uint64_t numeric_rollbacks() const;
-  /// Quarantine events (a rank may contribute several).
-  std::uint64_t quarantines() const;
-  /// Ranks permanently retired by the circuit breaker.
-  int ranks_retired() const;
-  /// Integral of impaired (quarantined + retired) ranks over time
-  /// [rank-seconds]: how much advertised capacity was lost to faults.
-  double degraded_rank_seconds() const;
+  /// One consistent snapshot of the service-level counters.
+  PoolCounters counters() const;
 
  private:
   enum class RankStatus { kHealthy, kQuarantined, kRetired };
@@ -238,18 +242,14 @@ class WorkerPool {
   bool push_job_checked(const std::shared_ptr<Job>& job);
   /// Under lock: mark a job failed and notify (caller handles in_flight_).
   void fail_job(Job& job, const std::string& error);
-  /// Under lock: refresh the live service.queue_depth / service.free_ranks
-  /// gauges; called wherever the queue or the rank budget changes.
-  void update_gauges();
 
   PoolOptions options_;
   /// RAM replica cache shared by every job's attempts; own mutex, never
   /// touched under mu_ ordering constraints.
   ReplicaStore replicas_;
-  /// Service metrics (own locks) and the scheduler-decision tracer.  The
-  /// tracer's ring is only ever touched under mu_ (every instant site
-  /// holds the pool lock), flushed once after the slots join.
-  obs::MetricsRegistry metrics_;
+  /// The scheduler-decision tracer.  Its ring is only ever touched under
+  /// mu_ (every instant site holds the pool lock), flushed once after the
+  /// slots join.
   obs::Tracer tracer_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   ///< workers: queue/budget changed
@@ -280,6 +280,7 @@ class WorkerPool {
   int ranks_retired_ = 0;
   double rank_seconds_busy_ = 0.0;
   double degraded_rank_seconds_ = 0.0;
+  std::chrono::steady_clock::time_point started_at_;
   std::chrono::steady_clock::time_point busy_mark_;
 };
 

@@ -2,19 +2,6 @@
 
 namespace ca::util {
 
-void PhaseTimers::start(const std::string& phase) {
-  stop();
-  active_ = phase;
-  running_ = true;
-  timer_.reset();
-}
-
-void PhaseTimers::stop() {
-  if (!running_) return;
-  totals_[active_] += timer_.seconds();
-  running_ = false;
-}
-
 void PhaseTimers::add(const std::string& phase, double seconds) {
   totals_[phase] += seconds;
 }
@@ -24,9 +11,6 @@ double PhaseTimers::total(const std::string& phase) const {
   return it == totals_.end() ? 0.0 : it->second;
 }
 
-void PhaseTimers::clear() {
-  totals_.clear();
-  running_ = false;
-}
+void PhaseTimers::clear() { totals_.clear(); }
 
 }  // namespace ca::util

@@ -1,4 +1,4 @@
-// Wall-clock timers and a named stopwatch set used by the functional runs
+// Wall-clock timers and per-phase second totals used by the functional runs
 // to attribute time to the phases the paper reports (collective, stencil
 // communication, computation).
 #pragma once
@@ -28,9 +28,6 @@ class Timer {
 /// logical rank keeps its own.
 class PhaseTimers {
  public:
-  void start(const std::string& phase);
-  /// Stops the currently running phase (no-op if none).
-  void stop();
   /// Adds an externally measured duration (obs:: spans charge their elapsed
   /// time here so trace timelines and phase totals share one clock pair).
   void add(const std::string& phase, double seconds);
@@ -40,9 +37,6 @@ class PhaseTimers {
 
  private:
   std::map<std::string, double> totals_;
-  std::string active_;
-  Timer timer_;
-  bool running_ = false;
 };
 
 }  // namespace ca::util

@@ -308,7 +308,7 @@ TEST(NumericHealth, ServiceRollsBackAndCompletesBitwiseOnEveryCore) {
     EXPECT_GE(r.faults.detected_numeric, 1u);
   }
 
-  // Report schema v5: the numeric-health evidence is part of the ledger.
+  // The numeric-health evidence is part of the report's ledger.
   const util::Json report = svc.report();
   EXPECT_EQ(validate_report(report), "");
   const util::Json* h = report.find("health");
@@ -318,8 +318,14 @@ TEST(NumericHealth, ServiceRollsBackAndCompletesBitwiseOnEveryCore) {
   EXPECT_EQ(h->find("numeric_rollbacks")->as_double(), 3.0);
   const util::Json* jobs = report.find("jobs");
   ASSERT_NE(jobs, nullptr);
-  for (const util::Json& e : jobs->items())
+  // Cross-section consistency: the pool total is the sum of the per-job
+  // counts, not a second tally.
+  double job_rollbacks = 0.0;
+  for (const util::Json& e : jobs->items()) {
     EXPECT_EQ(e.find("numeric_rollbacks")->as_double(), 1.0);
+    job_rollbacks += e.find("numeric_rollbacks")->as_double();
+  }
+  EXPECT_EQ(h->find("numeric_rollbacks")->as_double(), job_rollbacks);
 }
 
 TEST(NumericHealth, NumericRetryBudgetExhaustionFailsTheJob) {

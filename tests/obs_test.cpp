@@ -1,8 +1,7 @@
-// Observability subsystem: the metrics registry's instrument identity and
-// JSON snapshot, span/ring semantics of the Tracer (nesting, bounded
-// flight ring, off-switch), the merged multi-rank Chrome trace export,
-// flight-recorder dumps, and the obs-off bitwise guarantee (tracing a run
-// must not change a single bit of the model state).
+// Observability subsystem: span/ring semantics of the Tracer (nesting,
+// bounded flight ring, off-switch), the merged multi-rank Chrome trace
+// export, flight-recorder dumps, and the obs-off bitwise guarantee (tracing
+// a run must not change a single bit of the model state).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,7 +10,6 @@
 #include <mutex>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,7 +17,6 @@
 #include "core/campaign.hpp"
 #include "core/exchange.hpp"
 #include "core/original_core.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "state/state.hpp"
 #include "util/json.hpp"
@@ -33,132 +30,6 @@ std::string temp_dir(const std::string& tag) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();
-}
-
-// --- metrics registry -------------------------------------------------------
-
-TEST(Metrics, InstrumentIdentityAndLabels) {
-  MetricsRegistry reg;
-  Counter& a = reg.counter("comm.messages");
-  Counter& b = reg.counter("comm.messages");
-  EXPECT_EQ(&a, &b) << "same (name, labels) must return the same instrument";
-  // Label order must not matter at registration.
-  Counter& r0 = reg.counter("comm.bytes", {{"rank", "0"}, {"dir", "tx"}});
-  Counter& r0b = reg.counter("comm.bytes", {{"dir", "tx"}, {"rank", "0"}});
-  Counter& r1 = reg.counter("comm.bytes", {{"rank", "1"}, {"dir", "tx"}});
-  EXPECT_EQ(&r0, &r0b);
-  EXPECT_NE(&r0, &r1) << "distinct labels must be distinct instruments";
-  a.add(3);
-  a.add();
-  EXPECT_EQ(a.value(), 4u);
-
-  Gauge& g = reg.gauge("service.queue_depth");
-  g.set(5.0);
-  g.add(-2.0);
-  EXPECT_DOUBLE_EQ(g.value(), 3.0);
-}
-
-TEST(Metrics, HistogramBucketsAndValidation) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("wait", {0.01, 0.1, 1.0});
-  h.observe(0.005);  // <= 0.01
-  h.observe(0.05);   // <= 0.1
-  h.observe(0.05);
-  h.observe(0.5);    // <= 1.0
-  h.observe(50.0);   // overflow
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(1), 2u);
-  EXPECT_EQ(h.bucket_count(2), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_NEAR(h.sum(), 50.605, 1e-12);
-  // First registration wins: re-registering with different bounds keeps
-  // the original instrument.
-  Histogram& again = reg.histogram("wait", {1.0, 2.0});
-  EXPECT_EQ(&again, &h);
-  EXPECT_EQ(again.upper_bounds().size(), 3u);
-  // Malformed bounds are rejected loudly.
-  EXPECT_THROW(reg.histogram("empty", {}), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("dup", {1.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("desc", {2.0, 1.0}), std::invalid_argument);
-}
-
-TEST(Metrics, SnapshotShape) {
-  MetricsRegistry reg;
-  reg.counter("c", {{"k", "v"}}).add(7);
-  reg.gauge("g").set(2.5);
-  reg.histogram("h", {1.0}).observe(0.5);
-  const util::Json doc = reg.snapshot();
-  ASSERT_TRUE(doc.is_object());
-  for (const char* key : {"counters", "gauges", "histograms"}) {
-    const util::Json* arr = doc.find(key);
-    ASSERT_NE(arr, nullptr) << key;
-    ASSERT_TRUE(arr->is_array()) << key;
-    ASSERT_EQ(arr->items().size(), 1u) << key;
-  }
-  const util::Json& c = doc.find("counters")->items()[0];
-  EXPECT_EQ(c.find("name")->as_string(), "c");
-  EXPECT_EQ(c.find("labels")->find("k")->as_string(), "v");
-  EXPECT_DOUBLE_EQ(c.find("value")->as_double(), 7.0);
-  const util::Json& h = doc.find("histograms")->items()[0];
-  // One finite bucket plus the +Inf overflow bucket.
-  ASSERT_EQ(h.find("buckets")->items().size(), 2u);
-  EXPECT_DOUBLE_EQ(h.find("buckets")->items()[0].find("count")->as_double(),
-                   1.0);
-  EXPECT_DOUBLE_EQ(h.find("count")->as_double(), 1.0);
-  EXPECT_DOUBLE_EQ(h.find("sum")->as_double(), 0.5);
-}
-
-TEST(Metrics, PrometheusExpositionGoldenFormat) {
-  // Golden test of the text exposition: names sanitized, one TYPE line
-  // per family, labels rendered sorted, histogram buckets CUMULATIVE
-  // with the +Inf bucket equal to _count.
-  MetricsRegistry reg;
-  reg.counter("service.jobs_completed").add(3);
-  reg.counter("comm.msgs", {{"phase", "halo"}}).add(12);
-  reg.gauge("service.queue-depth").set(2);
-  Histogram& h = reg.histogram("step.seconds", {0.01, 0.1, 1.0},
-                               {{"core", "ca"}});
-  h.observe(0.005);
-  h.observe(0.05);
-  h.observe(0.05);
-  h.observe(0.5);
-  h.observe(50.0);  // overflow
-
-  const std::string got = to_prometheus(reg.snapshot());
-  const std::string want =
-      "# TYPE service_jobs_completed counter\n"
-      "service_jobs_completed 3\n"
-      "# TYPE comm_msgs counter\n"
-      "comm_msgs{phase=\"halo\"} 12\n"
-      "# TYPE service_queue_depth gauge\n"
-      "service_queue_depth 2\n"
-      "# TYPE step_seconds histogram\n"
-      "step_seconds_bucket{core=\"ca\",le=\"0.01\"} 1\n"
-      "step_seconds_bucket{core=\"ca\",le=\"0.1\"} 3\n"
-      "step_seconds_bucket{core=\"ca\",le=\"1\"} 4\n"
-      "step_seconds_bucket{core=\"ca\",le=\"+Inf\"} 5\n"
-      "step_seconds_sum{core=\"ca\"} 50.605\n"
-      "step_seconds_count{core=\"ca\"} 5\n";
-  EXPECT_EQ(got, want);
-}
-
-TEST(Metrics, PrometheusExpositionMergesFamiliesAndEscapes) {
-  // Same name, different labels: ONE TYPE line, two sample lines.  Label
-  // values with quotes/backslashes/newlines are escaped per the spec.
-  MetricsRegistry reg;
-  reg.counter("retries", {{"job", "a"}}).add(1);
-  reg.counter("retries", {{"job", "b"}}).add(2);
-  reg.gauge("weird", {{"msg", "say \"hi\"\\\n"}}).set(1.5);
-  const std::string got = to_prometheus(reg.snapshot());
-  EXPECT_EQ(got,
-            "# TYPE retries counter\n"
-            "retries{job=\"a\"} 1\n"
-            "retries{job=\"b\"} 2\n"
-            "# TYPE weird gauge\n"
-            "weird{msg=\"say \\\"hi\\\"\\\\\\n\"} 1.5\n");
-  // An empty registry renders an empty document, not a parse hazard.
-  EXPECT_EQ(to_prometheus(MetricsRegistry{}.snapshot()), "");
 }
 
 // --- tracer / ring ----------------------------------------------------------

@@ -378,6 +378,12 @@ TEST(RankFailureService, KillRecoversBitwiseUnderEveryCore) {
     EXPECT_GE(health->find("quarantines")->as_double(), 1.0);
     EXPECT_GE(health->find("jobs_recovered")->as_double(), 1.0);
     EXPECT_GT(health->find("degraded_rank_seconds")->as_double(), 0.0);
+    // Cross-section consistency: the pool total is the sum of the per-job
+    // counts, not a second tally.
+    double job_recoveries = 0.0;
+    for (const util::Json& e : report.find("jobs")->items())
+      job_recoveries += e.find("rank_recoveries")->as_double();
+    EXPECT_EQ(health->find("jobs_recovered")->as_double(), job_recoveries);
   }
 }
 
@@ -446,7 +452,7 @@ TEST(RankFailureService, CircuitBreakerRetiresAndReshapesTheJob) {
   EXPECT_LT(diff, 1e-8) << "reshaped resume diverged beyond the "
                            "cross-decomposition tolerance";
 
-  EXPECT_EQ(service.ranks_retired(), 1);
+  EXPECT_EQ(service.counters().ranks_retired, 1);
   const util::Json report = service.report();
   EXPECT_EQ(svc::validate_report(report), "");
   bool saw_retired = false;
@@ -507,7 +513,7 @@ TEST(RankFailureService, CAJobReshardsOntoTheSurvivorsBitwise) {
   EXPECT_EQ(diff, 0.0)
       << "the resharded CA resume diverged from the uninterrupted run";
 
-  EXPECT_EQ(service.ranks_retired(), 1);
+  EXPECT_EQ(service.counters().ranks_retired, 1);
   const util::Json report = service.report();
   EXPECT_EQ(svc::validate_report(report), "");
   const auto& active = report.find("jobs")->items()[0].find("active_dims")
@@ -686,7 +692,7 @@ TEST(RankFailureService, SubmitAfterRetirementDoesNotWedgeThePool) {
   svc::EnsembleService service(opt);
   const int bait_id = service.submit(bait);
   service.wait(bait_id);
-  ASSERT_EQ(service.ranks_retired(), 1);
+  ASSERT_EQ(service.counters().ranks_retired, 1);
 
   // A late CA submit is refit to the surviving rank before it ever runs
   // (no checkpoint yet, so no reshard is involved); exact mode makes the

@@ -248,6 +248,13 @@ TEST(ServiceSoak, MixedQueueCompletesOrFailsTerminally) {
   EXPECT_EQ(s->find("jobs_failed")->as_double(), 1.0);
   EXPECT_GE(s->find("preemptions")->as_double(), 1.0);
   EXPECT_GE(s->find("retries")->as_double(), 1.0);
+  EXPECT_LE(s->find("utilization")->as_double(), 1.0);
+  // Cross-section consistency: the pool total is the sum of the per-job
+  // counts, not a second tally.
+  double job_preemptions = 0.0;
+  for (const util::Json& e : report.find("jobs")->items())
+    job_preemptions += e.find("preemptions")->as_double();
+  EXPECT_EQ(s->find("preemptions")->as_double(), job_preemptions);
 }
 
 TEST(ServiceSoak, CAPreemptResumeBitwise) {
@@ -373,7 +380,7 @@ TEST(ServiceSoak, CAElasticSqueezeAndRegrowBitwise) {
   // The squeeze happens on the scheduler thread before the job is popped,
   // so by the time it runs it already runs narrow.
   await_running(svc, C);
-  ASSERT_GE(svc.elastic_shrinks(), 1u)
+  ASSERT_GE(svc.counters().elastic_shrinks, 1u)
       << "the wide CA job was not squeezed onto the idle ranks";
   await_completed(svc, B);
   const int E = svc.submit(evictor);
@@ -386,7 +393,7 @@ TEST(ServiceSoak, CAElasticSqueezeAndRegrowBitwise) {
   ASSERT_EQ(rc.state, JobState::kCompleted) << rc.error;
   EXPECT_GE(rc.metrics.preemptions, 1)
       << "the evictor never displaced the narrow CA job";
-  EXPECT_GE(svc.elastic_grows(), 1u)
+  EXPECT_GE(svc.counters().elastic_grows, 1u)
       << "the CA job never re-grew to its submitted decomposition";
   // Squeezes and re-grows ride on checkpoint reshards: the only
   // re-dispatches are the preemption yields themselves, never a failed

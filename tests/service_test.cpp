@@ -313,7 +313,8 @@ TEST(Report, OlderSchemaTagsAreRejected) {
   ASSERT_EQ(validate_report(report), "");
   for (const char* tag :
        {"ca-agcm/service-report/v1", "ca-agcm/service-report/v2",
-        "ca-agcm/service-report/v3", "ca-agcm/service-report/v4"}) {
+        "ca-agcm/service-report/v3", "ca-agcm/service-report/v4",
+        "ca-agcm/service-report/v5"}) {
     report["schema"] = tag;
     EXPECT_EQ(validate_report(report), "missing/wrong schema tag") << tag;
   }

@@ -332,16 +332,16 @@ TEST(Timer, MeasuresElapsed) {
 
 TEST(PhaseTimers, AccumulatesByPhase) {
   PhaseTimers pt;
-  pt.start("a");
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  pt.start("b");  // implicitly stops "a"
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  pt.stop();
-  EXPECT_GE(pt.total("a"), 0.002);
-  EXPECT_GE(pt.total("b"), 0.002);
+  pt.add("a", 0.25);
+  pt.add("b", 0.5);
+  pt.add("a", 0.125);
+  EXPECT_DOUBLE_EQ(pt.total("a"), 0.375);
+  EXPECT_DOUBLE_EQ(pt.total("b"), 0.5);
   EXPECT_DOUBLE_EQ(pt.total("c"), 0.0);
+  EXPECT_EQ(pt.totals().size(), 2u);
   pt.clear();
   EXPECT_DOUBLE_EQ(pt.total("a"), 0.0);
+  EXPECT_TRUE(pt.totals().empty());
 }
 
 TEST(Math, FloorDivAndMod) {
