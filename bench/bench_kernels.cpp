@@ -136,7 +136,37 @@ void BM_FftForward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
-BENCHMARK(BM_FftForward)->Arg(256)->Arg(720)->Arg(1024)->Arg(1440);
+BENCHMARK(BM_FftForward)
+    ->Arg(60)
+    ->Arg(120)
+    ->Arg(256)
+    ->Arg(720)
+    ->Arg(1024)
+    ->Arg(1440);
+
+// One polar-filter line at the mesh widths of the workloads and the
+// paper: real forward FFT, damping, inverse, through the filter's own
+// workspace (nx = 24, 120, 128, 720).
+void BM_RealFilterLine(benchmark::State& state) {
+  const int nx = static_cast<int>(state.range(0));
+  mesh::LatLonMesh mesh(nx, 48, 1);
+  const auto levels = mesh::SigmaLevels::uniform(1);
+  const state::Stratification strat(levels);
+  const mesh::DomainDecomp decomp(mesh, {1, 1, 1}, {0, 0, 0});
+  const ops::OpContext ctx{&mesh, &levels, &strat, &decomp,
+                           ops::ModelParams{}};
+  const ops::FourierFilter filt(ctx);
+  std::vector<double> line(static_cast<std::size_t>(nx));
+  for (int i = 0; i < nx; ++i)
+    line[static_cast<std::size_t>(i)] = std::sin(0.37 * i) + 0.1 * (i % 7);
+  for (auto _ : state) {
+    filt.filter_line(line, /*sin_theta=*/0.1);
+    benchmark::DoNotOptimize(line.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * nx);
+}
+BENCHMARK(BM_RealFilterLine)->Arg(24)->Arg(120)->Arg(128)->Arg(720);
 
 void BM_SerialStep(benchmark::State& state) {
   core::DycoreConfig c;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/math.hpp"
@@ -10,117 +12,200 @@
 namespace ca::fft {
 namespace {
 
-bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
+// Stockham autosort, decimation in frequency.  A radix-p stage splits each
+// length-L = p*m sub-transform (s of them, interleaved at stride s) as
+//   j = j1 + m*r,  k = p*k1 + k2:
+//   y[q + s*(p*j1 + k2)] = w_L^(j1*k2) * sum_r x[q + s*(j1 + m*r)] w_p^(r*k2)
+// and hands s*p sub-transforms of length m to the next stage.  After the
+// last stage the output is in natural order: no bit reversal.
 
-std::size_t next_pow2(std::size_t n) {
-  std::size_t m = 1;
-  while (m < n) m <<= 1;
-  return m;
+/// a * b without the NaN-recovery call of std::complex's operator*.
+inline cplx mul(cplx a, cplx b) {
+  return {a.real() * b.real() - a.imag() * b.imag(),
+          a.real() * b.imag() + a.imag() * b.real()};
+}
+
+/// Forward tables hold exp(-...); the inverse uses their conjugates.
+template <bool Inv>
+inline cplx dir(cplx w) {
+  return Inv ? std::conj(w) : w;
+}
+
+/// Multiplication by the quarter-turn root: -i*a forward, i*a inverse.
+template <bool Inv>
+inline cplx rot(cplx a) {
+  return Inv ? cplx{-a.imag(), a.real()} : cplx{a.imag(), -a.real()};
+}
+
+// Radix-3 and radix-5 butterfly constants (exact to double precision).
+constexpr double kSin60 = 0.86602540378443864676;   // sin(2 pi / 3)
+constexpr double kCos72 = 0.30901699437494742410;   // cos(2 pi / 5)
+constexpr double kCos144 = -0.80901699437494742410; // cos(4 pi / 5)
+constexpr double kSin72 = 0.95105651629515357212;   // sin(2 pi / 5)
+constexpr double kSin144 = 0.58778525229247312917;  // sin(4 pi / 5)
+
+/// In-place length-P DFT of a[0..P) (P = 2, 3, 4, 5).
+template <std::size_t P, bool Inv>
+inline void butterfly(cplx* a) {
+  if constexpr (P == 2) {
+    const cplx t = a[0] - a[1];
+    a[0] += a[1];
+    a[1] = t;
+  } else if constexpr (P == 3) {
+    const cplx t = a[1] + a[2];
+    const cplx u = a[0] - 0.5 * t;
+    const cplx v = kSin60 * rot<Inv>(a[1] - a[2]);
+    a[0] += t;
+    a[1] = u + v;
+    a[2] = u - v;
+  } else if constexpr (P == 4) {
+    const cplx t0 = a[0] + a[2], t1 = a[0] - a[2];
+    const cplx t2 = a[1] + a[3], t3 = rot<Inv>(a[1] - a[3]);
+    a[0] = t0 + t2;
+    a[1] = t1 + t3;
+    a[2] = t0 - t2;
+    a[3] = t1 - t3;
+  } else {
+    static_assert(P == 5);
+    const cplx t1 = a[1] + a[4], t2 = a[2] + a[3];
+    const cplx d1 = a[1] - a[4], d2 = a[2] - a[3];
+    const cplx m1 = a[0] + kCos72 * t1 + kCos144 * t2;
+    const cplx m2 = a[0] + kCos144 * t1 + kCos72 * t2;
+    const cplx n1 = rot<Inv>(kSin72 * d1 + kSin144 * d2);
+    const cplx n2 = rot<Inv>(kSin144 * d1 - kSin72 * d2);
+    a[0] += t1 + t2;
+    a[1] = m1 + n1;
+    a[2] = m2 + n2;
+    a[3] = m2 - n2;
+    a[4] = m1 - n1;
+  }
+}
+
+/// One stage with a specialised radix P.  tw holds (P-1) twiddles per j1.
+template <std::size_t P, bool Inv>
+void pass(std::size_t m, std::size_t s, const cplx* tw, const cplx* x,
+          cplx* y) {
+  for (std::size_t j = 0; j < m; ++j) {
+    const cplx* w = tw + j * (P - 1);
+    for (std::size_t q = 0; q < s; ++q) {
+      cplx a[P];
+      for (std::size_t r = 0; r < P; ++r) a[r] = x[q + s * (j + r * m)];
+      butterfly<P, Inv>(a);
+      cplx* out = y + q + s * P * j;
+      out[0] = a[0];
+      if (j == 0) {  // every twiddle is 1
+        for (std::size_t k = 1; k < P; ++k) out[s * k] = a[k];
+      } else {
+        for (std::size_t k = 1; k < P; ++k)
+          out[s * k] = mul(a[k], dir<Inv>(w[k - 1]));
+      }
+    }
+  }
+}
+
+/// One stage with any odd radix p: a direct O(p^2) DFT per butterfly
+/// against the stage's p-th roots of unity.
+template <bool Inv>
+void pass_generic(std::size_t p, std::size_t m, std::size_t s,
+                  const cplx* tw, const cplx* root, const cplx* x, cplx* y) {
+  for (std::size_t j = 0; j < m; ++j) {
+    const cplx* w = tw + j * (p - 1);
+    for (std::size_t q = 0; q < s; ++q) {
+      const cplx* in = x + q + s * j;
+      cplx* out = y + q + s * p * j;
+      for (std::size_t k = 0; k < p; ++k) {
+        cplx acc = in[0];
+        std::size_t idx = 0;  // r*k mod p
+        for (std::size_t r = 1; r < p; ++r) {
+          idx += k;
+          if (idx >= p) idx -= p;
+          acc += mul(in[s * m * r], dir<Inv>(root[idx]));
+        }
+        out[s * k] = (k == 0 || j == 0) ? acc : mul(acc, dir<Inv>(w[k - 1]));
+      }
+    }
+  }
+}
+
+/// exp(-2*pi*i*num/den), with num reduced mod den so the angle stays
+/// in [0, 2*pi).
+cplx unit_root(std::size_t num, std::size_t den) {
+  const double angle = -2.0 * util::kPi * static_cast<double>(num % den) /
+                       static_cast<double>(den);
+  return {std::cos(angle), std::sin(angle)};
+}
+
+/// Radices of n in stage order: 4s, one 2, 3s, 5s, then other primes.
+std::vector<std::size_t> factor(std::size_t n) {
+  std::vector<std::size_t> radices;
+  for (std::size_t p : {4, 2, 3, 5}) {
+    while (n % p == 0) {
+      radices.push_back(p);
+      n /= p;
+    }
+  }
+  for (std::size_t p = 7; n > 1; p += 2) {
+    while (n % p == 0) {
+      radices.push_back(p);
+      n /= p;
+    }
+    if (p * p > n && n > 1) {
+      radices.push_back(n);
+      break;
+    }
+  }
+  return radices;
 }
 
 }  // namespace
 
 Plan::Plan(std::size_t n) : n_(n) {
   if (n == 0) throw std::invalid_argument("fft::Plan: n must be positive");
-  pow2_ = is_pow2(n);
-  m_ = pow2_ ? n : next_pow2(2 * n - 1);
-
-  // Bit-reversal permutation for length m_.
-  bitrev_.resize(m_);
-  std::size_t bits = 0;
-  while ((std::size_t{1} << bits) < m_) ++bits;
-  for (std::size_t i = 0; i < m_; ++i) {
-    std::size_t r = 0;
-    for (std::size_t b = 0; b < bits; ++b)
-      if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (bits - 1 - b);
-    bitrev_[i] = r;
-  }
-
-  // Forward twiddles W_m^k = exp(-2*pi*i*k/m) for k < m/2.
-  twiddles_.resize(m_ / 2);
-  for (std::size_t k = 0; k < m_ / 2; ++k) {
-    const double angle =
-        -2.0 * util::kPi * static_cast<double>(k) / static_cast<double>(m_);
-    twiddles_[k] = cplx{std::cos(angle), std::sin(angle)};
-  }
-
-  if (!pow2_) {
-    // Bluestein: x_k * chirp_k convolved with conj(chirp) kernel.
-    chirp_.resize(n_);
-    for (std::size_t k = 0; k < n_; ++k) {
-      // k^2 mod 2n keeps the angle argument small and exact.
-      const std::size_t k2 = (k * k) % (2 * n_);
-      const double angle =
-          -util::kPi * static_cast<double>(k2) / static_cast<double>(n_);
-      chirp_[k] = cplx{std::cos(angle), std::sin(angle)};
-    }
-    std::vector<cplx> b(m_, cplx{0.0, 0.0});
-    b[0] = std::conj(chirp_[0]);
-    for (std::size_t k = 1; k < n_; ++k) {
-      b[k] = std::conj(chirp_[k]);
-      b[m_ - k] = std::conj(chirp_[k]);
-    }
-    radix2(b, /*inv=*/false);
-    b_forward_ = std::move(b);
+  std::size_t stride = 1;
+  for (std::size_t p : factor(n)) {
+    const std::size_t len = n / stride;  // sub-transform length p*m
+    Stage st{p, len / p, stride, twiddles_.size(), roots_.size()};
+    for (std::size_t j = 0; j < st.m; ++j)
+      for (std::size_t k = 1; k < p; ++k)
+        twiddles_.push_back(unit_root(j * k, len));
+    if (p > 5)
+      for (std::size_t r = 0; r < p; ++r) roots_.push_back(unit_root(r, p));
+    stages_.push_back(st);
+    stride *= p;
   }
 }
 
-void Plan::radix2(std::span<cplx> data, bool inv) const {
-  const std::size_t m = m_;
-  assert(data.size() == m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::size_t r = bitrev_[i];
-    if (i < r) std::swap(data[i], data[r]);
-  }
-  for (std::size_t len = 2; len <= m; len <<= 1) {
-    const std::size_t stride = m / len;
-    for (std::size_t base = 0; base < m; base += len) {
-      for (std::size_t off = 0; off < len / 2; ++off) {
-        cplx w = twiddles_[off * stride];
-        if (inv) w = std::conj(w);
-        const cplx u = data[base + off];
-        const cplx t = data[base + off + len / 2] * w;
-        data[base + off] = u + t;
-        data[base + off + len / 2] = u - t;
-      }
-    }
-  }
-}
-
-void Plan::transform(std::span<cplx> data, bool inv,
-                     std::span<cplx> scratch) const {
+template <bool Inv>
+void Plan::transform(std::span<cplx> data, std::span<cplx> scratch) const {
   assert(data.size() == n_);
-  if (pow2_) {
-    radix2(data, inv);
-    return;
+  if (stages_.empty()) return;
+  assert(scratch.size() >= n_);
+  // Stages ping-pong between the two buffers; an odd stage count starts
+  // from a copy in scratch so the last stage writes into data.
+  cplx* x = data.data();
+  cplx* y = scratch.data();
+  if (stages_.size() % 2 == 1) {
+    std::copy(data.begin(), data.end(), scratch.begin());
+    std::swap(x, y);
   }
-  // Bluestein.  The inverse transform of length n is the forward transform
-  // with conjugated inputs/outputs: F^-1(x) = conj(F(conj(x)))/n, with the
-  // 1/n applied by the caller (inverse()).
-  assert(scratch.size() == m_);
-  std::span<cplx> a = scratch;
-  std::fill(a.begin(), a.end(), cplx{0.0, 0.0});
-  if (inv) {
-    for (std::size_t k = 0; k < n_; ++k)
-      a[k] = std::conj(data[k]) * chirp_[k];
-  } else {
-    for (std::size_t k = 0; k < n_; ++k) a[k] = data[k] * chirp_[k];
-  }
-  radix2(a, /*inv=*/false);
-  for (std::size_t k = 0; k < m_; ++k) a[k] *= b_forward_[k];
-  radix2(a, /*inv=*/true);
-  const double scale = 1.0 / static_cast<double>(m_);
-  if (inv) {
-    for (std::size_t k = 0; k < n_; ++k)
-      data[k] = std::conj(a[k] * chirp_[k] * scale);
-  } else {
-    for (std::size_t k = 0; k < n_; ++k) data[k] = a[k] * chirp_[k] * scale;
+  for (const Stage& st : stages_) {
+    const cplx* tw = twiddles_.data() + st.twiddle;
+    switch (st.radix) {
+      case 2: pass<2, Inv>(st.m, st.stride, tw, x, y); break;
+      case 3: pass<3, Inv>(st.m, st.stride, tw, x, y); break;
+      case 4: pass<4, Inv>(st.m, st.stride, tw, x, y); break;
+      case 5: pass<5, Inv>(st.m, st.stride, tw, x, y); break;
+      default:
+        pass_generic<Inv>(st.radix, st.m, st.stride, tw,
+                          roots_.data() + st.root, x, y);
+    }
+    std::swap(x, y);
   }
 }
 
 void Plan::forward(std::span<cplx> data) const {
   std::vector<cplx> scratch(scratch_size());
-  transform(data, false, scratch);
+  forward(data, scratch);
 }
 
 void Plan::inverse(std::span<cplx> data) const {
@@ -129,11 +214,11 @@ void Plan::inverse(std::span<cplx> data) const {
 }
 
 void Plan::forward(std::span<cplx> data, std::span<cplx> scratch) const {
-  transform(data, false, scratch);
+  transform<false>(data, scratch);
 }
 
 void Plan::inverse(std::span<cplx> data, std::span<cplx> scratch) const {
-  transform(data, true, scratch);
+  transform<true>(data, scratch);
   const double scale = 1.0 / static_cast<double>(n_);
   for (auto& v : data) v *= scale;
 }
@@ -141,6 +226,12 @@ void Plan::inverse(std::span<cplx> data, std::span<cplx> scratch) const {
 RealPlan::RealPlan(std::size_t n) : n_(n), half_(n / 2) {
   if (n < 2 || n % 2 != 0)
     throw std::invalid_argument("fft::RealPlan: n must be even and >= 2");
+  split_.resize(n / 2 + 1);
+  for (std::size_t k = 0; k <= n / 2; ++k) {
+    const double angle =
+        -2.0 * util::kPi * static_cast<double>(k) / static_cast<double>(n);
+    split_[k] = cplx{std::cos(angle), std::sin(angle)};
+  }
 }
 
 void RealPlan::forward(std::span<const double> input,
@@ -161,16 +252,14 @@ void RealPlan::forward(std::span<const double> input,
     z[m] = cplx{input[2 * m], input[2 * m + 1]};
   half_.forward(z, scratch.subspan(h));
   // Split: X[k] = E[k] + W^k O[k] with E/O recovered from Z and its
-  // reflected conjugate.
+  // reflected conjugate (indices taken mod h).
   for (std::size_t k = 0; k <= h; ++k) {
-    const cplx zk = z[k % h];
-    const cplx zr = std::conj(z[(h - k) % h]);
+    const cplx zk = z[k == h ? 0 : k];
+    const cplx zr = std::conj(z[k == 0 ? 0 : h - k]);
     const cplx even = 0.5 * (zk + zr);
-    const cplx odd = cplx{0.0, -0.5} * (zk - zr);
-    const double angle =
-        -2.0 * util::kPi * static_cast<double>(k) / static_cast<double>(n_);
-    const cplx w{std::cos(angle), std::sin(angle)};
-    spectrum[k] = even + w * odd;
+    const cplx d = zk - zr;
+    const cplx odd{0.5 * d.imag(), -0.5 * d.real()};  // -i/2 * d
+    spectrum[k] = even + mul(split_[k], odd);
   }
 }
 
@@ -192,11 +281,8 @@ void RealPlan::inverse(std::span<const cplx> spectrum,
     const cplx xk = spectrum[k];
     const cplx xr = std::conj(spectrum[h - k]);
     const cplx even = 0.5 * (xk + xr);
-    const double angle =
-        2.0 * util::kPi * static_cast<double>(k) / static_cast<double>(n_);
-    const cplx winv{std::cos(angle), std::sin(angle)};
-    const cplx odd = 0.5 * winv * (xk - xr);
-    z[k] = even + cplx{0.0, 1.0} * odd;
+    const cplx odd = 0.5 * mul(std::conj(split_[k]), xk - xr);
+    z[k] = even + cplx{-odd.imag(), odd.real()};  // even + i*odd
   }
   half_.inverse(z, scratch.subspan(h));
   for (std::size_t m = 0; m < h; ++m) {

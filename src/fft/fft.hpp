@@ -1,8 +1,10 @@
-// Fast Fourier transform for arbitrary length n: iterative radix-2 with
-// precomputed twiddles for powers of two, Bluestein's chirp-z algorithm
-// otherwise (n_x = 720 in the 50 km model is 2^4 * 3^2 * 5).  A Plan
-// precomputes everything for a fixed n and is reused across latitude
-// circles and time steps.
+// Fast Fourier transform for arbitrary length n: one self-sorting
+// mixed-radix Stockham plan.  n is factored into radix-4 stages, then 2,
+// 3 and 5 (n_x = 720 in the 50 km model is 4^2 * 3^2 * 5), with a generic
+// odd-radix stage for any other prime factor.  A Plan precomputes every
+// stage's twiddles for a fixed n and is reused across latitude circles
+// and time steps; the transforms themselves call no transcendental
+// function.
 #pragma once
 
 #include <complex>
@@ -25,30 +27,31 @@ class Plan {
   /// In-place inverse transform (normalized by 1/n).
   void inverse(std::span<cplx> data) const;
 
-  /// Scratch elements one transform needs (Bluestein working buffer;
-  /// zero for power-of-two lengths).  The scratch overloads below are
+  /// Scratch elements one transform needs (the Stockham ping-pong
+  /// buffer: n, or zero for n = 1).  The scratch overloads below are
   /// allocation-free when given a caller-owned buffer of this size.
-  std::size_t scratch_size() const { return pow2_ ? 0 : m_; }
+  std::size_t scratch_size() const { return stages_.empty() ? 0 : n_; }
   void forward(std::span<cplx> data, std::span<cplx> scratch) const;
   void inverse(std::span<cplx> data, std::span<cplx> scratch) const;
 
  private:
-  void transform(std::span<cplx> data, bool inv,
-                 std::span<cplx> scratch) const;
+  /// One radix-p pass over s interleaved sub-transforms of length p*m
+  /// (s*p*m = n).
+  struct Stage {
+    std::size_t radix;
+    std::size_t m;
+    std::size_t stride;
+    std::size_t twiddle;  ///< offset of the stage's (p-1)*m twiddles
+    std::size_t root;     ///< offset of the p roots of unity (generic radix)
+  };
+
+  template <bool Inv>
+  void transform(std::span<cplx> data, std::span<cplx> scratch) const;
 
   std::size_t n_ = 0;
-  bool pow2_ = false;
-
-  // Radix-2 machinery (for n_ or the Bluestein convolution length m_).
-  std::size_t m_ = 0;  // power-of-two working length
-  std::vector<std::size_t> bitrev_;
-  std::vector<cplx> twiddles_;  // forward twiddles for length m_
-
-  // Bluestein chirp data (empty when n_ is a power of two).
-  std::vector<cplx> chirp_;      // exp(-i*pi*k^2/n)
-  std::vector<cplx> b_forward_;  // FFT_m of the chirp kernel
-
-  void radix2(std::span<cplx> data, bool inv) const;
+  std::vector<Stage> stages_;
+  std::vector<cplx> twiddles_;  // forward twiddles, stage by stage
+  std::vector<cplx> roots_;     // forward p-th roots of generic stages
 };
 
 /// Convenience one-shot transforms (allocate a Plan internally).
@@ -82,6 +85,7 @@ class RealPlan {
  private:
   std::size_t n_ = 0;
   Plan half_;
+  std::vector<cplx> split_;  // exp(-2*pi*i*k/n), k in [0, n/2]
 };
 
 }  // namespace ca::fft

@@ -1,5 +1,6 @@
 #include "ops/filter.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/math.hpp"
@@ -12,7 +13,12 @@ FourierFilter::FourierFilter(const OpContext& ctx)
       ny_(ctx.mesh->ny()),
       band_(ctx.params.filter_band),
       aspect_(static_cast<double>(ctx.mesh->nx()) /
-              (2.0 * ctx.mesh->ny())) {}
+              (2.0 * ctx.mesh->ny())) {
+  sin_m_.resize(static_cast<std::size_t>(nx_ / 2) + 1);
+  for (std::size_t m = 0; m < sin_m_.size(); ++m)
+    sin_m_[m] = std::sin(util::kPi * static_cast<double>(m) /
+                         static_cast<double>(nx_));
+}
 
 bool FourierFilter::row_active(int gj) const {
   const double theta = (gj + 0.5) * util::kPi / ny_;
@@ -43,12 +49,8 @@ void FourierFilter::filter_line(std::span<double> line,
   auto spec = acquire(ws_.spec, n / 2 + 1);
   auto scratch = acquire(ws_.fft_scratch, plan_.scratch_size());
   plan_.forward(std::span<const double>(line.data(), n), spec, scratch);
-  for (std::size_t m = 1; m <= n / 2; ++m) {
-    const double smn = std::sin(util::kPi * static_cast<double>(m) /
-                                static_cast<double>(n));
-    const double d = std::min(1.0, sin_theta * aspect_ / smn);
-    spec[m] *= d;
-  }
+  for (std::size_t m = 1; m <= n / 2; ++m)
+    spec[m] *= std::min(1.0, sin_theta * aspect_ / sin_m_[m]);
   plan_.inverse(spec, line, scratch);
 }
 

@@ -94,6 +94,7 @@ class FourierFilter {
   int ny_ = 0;
   double band_ = 0.0;
   double aspect_ = 0.0;  ///< nx / (2 ny)
+  std::vector<double> sin_m_;  ///< sin(pi m / nx), m in [0, nx/2]
   mutable Workspace ws_;
 };
 

@@ -233,17 +233,18 @@ void ShallowWaterCore::apply_polar_filter(SweState& tend) {
   const double aspect = static_cast<double>(nx) / (2.0 * mesh_.ny());
   fft::Plan plan(static_cast<std::size_t>(nx));
   std::vector<fft::cplx> line(static_cast<std::size_t>(nx));
+  std::vector<fft::cplx> scratch(plan.scratch_size());
   auto filter_row = [&](util::Array2D<double>& f, int j, double st) {
     for (int i = 0; i < nx; ++i)
       line[static_cast<std::size_t>(i)] = fft::cplx{f(i, j), 0.0};
-    plan.forward(line);
+    plan.forward(line, scratch);
     for (int m = 1; m < nx; ++m) {
       const int m_eff = std::min(m, nx - m);
       const double smn = std::sin(util::kPi * m_eff / nx);
       const double damp = std::min(1.0, st * aspect / smn);
       line[static_cast<std::size_t>(m)] *= damp;
     }
-    plan.inverse(line);
+    plan.inverse(line, scratch);
     for (int i = 0; i < nx; ++i)
       f(i, j) = line[static_cast<std::size_t>(i)].real();
   };

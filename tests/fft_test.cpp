@@ -80,17 +80,21 @@ TEST_P(FftSizeSweep, ParsevalHolds) {
               1e-8 * time_energy * static_cast<double>(n));
 }
 
-// Sizes: powers of two (radix-2 path), primes, composites, and the paper's
-// n_x = 720.
+// Sizes: powers of two (radix-4 stages plus at most one radix 2), the
+// specialised radices 3 and 5 alone and mixed (60, 120, the paper's
+// n_x = 720), and the generic odd-radix stage: primes (7, 13, 37), a
+// repeated prime (49 = 7^2) and a prime among the others (210 = 2*3*5*7).
 INSTANTIATE_TEST_SUITE_P(Sizes, FftSizeSweep,
                          ::testing::Values(std::size_t{1}, std::size_t{2},
                                            std::size_t{4}, std::size_t{8},
                                            std::size_t{16}, std::size_t{64},
                                            std::size_t{3}, std::size_t{5},
                                            std::size_t{7}, std::size_t{13},
+                                           std::size_t{37}, std::size_t{49},
                                            std::size_t{12}, std::size_t{30},
-                                           std::size_t{45}, std::size_t{100},
-                                           std::size_t{360},
+                                           std::size_t{45}, std::size_t{60},
+                                           std::size_t{100}, std::size_t{120},
+                                           std::size_t{210}, std::size_t{360},
                                            std::size_t{720}),
                          [](const ::testing::TestParamInfo<std::size_t>& i) {
                            return "n" + std::to_string(i.param);
@@ -142,6 +146,42 @@ TEST(Fft, RealInputHasConjugateSymmetry) {
   for (std::size_t k = 1; k < n; ++k) {
     EXPECT_NEAR(x[k].real(), x[n - k].real(), 1e-10);
     EXPECT_NEAR(x[k].imag(), -x[n - k].imag(), 1e-10);
+  }
+}
+
+TEST(Fft, ScratchOverloadsMatchAllocatingBitwise) {
+  for (std::size_t n : {std::size_t{1}, std::size_t{49}, std::size_t{60},
+                        std::size_t{128}, std::size_t{720}}) {
+    Plan plan(n);
+    const auto x = random_signal(n, 300 + static_cast<unsigned>(n));
+    // Stale scratch contents must not leak into the result.
+    std::vector<cplx> scratch(plan.scratch_size(), cplx{7.0, -7.0});
+    auto fa = x, fs = x;
+    plan.forward(fa);
+    plan.forward(fs, scratch);
+    auto ia = x, is = x;
+    plan.inverse(ia);
+    plan.inverse(is, scratch);
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(fa[k], fs[k]) << "n=" << n << " k=" << k;
+      EXPECT_EQ(ia[k], is[k]) << "n=" << n << " k=" << k;
+    }
+  }
+  for (std::size_t n : {std::size_t{24}, std::size_t{74}, std::size_t{120}}) {
+    RealPlan plan(n);
+    std::vector<double> x(n), ba(n), bs(n);
+    for (std::size_t i = 0; i < n; ++i)
+      x[i] = std::sin(0.37 * static_cast<double>(i)) + 0.1 * (i % 7);
+    std::vector<cplx> sa(n / 2 + 1), ss(n / 2 + 1);
+    std::vector<cplx> scratch(plan.scratch_size(), cplx{7.0, -7.0});
+    plan.forward(x, sa);
+    plan.forward(x, ss, scratch);
+    plan.inverse(sa, ba);
+    plan.inverse(ss, bs, scratch);
+    for (std::size_t k = 0; k <= n / 2; ++k)
+      EXPECT_EQ(sa[k], ss[k]) << "n=" << n << " k=" << k;
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(ba[i], bs[i]) << "n=" << n << " i=" << i;
   }
 }
 
@@ -201,7 +241,9 @@ INSTANTIATE_TEST_SUITE_P(Sizes, RealFftSweep,
                          ::testing::Values(std::size_t{2}, std::size_t{4},
                                            std::size_t{8}, std::size_t{64},
                                            std::size_t{6}, std::size_t{10},
-                                           std::size_t{90},
+                                           std::size_t{24}, std::size_t{74},
+                                           std::size_t{90}, std::size_t{120},
+                                           std::size_t{128},
                                            std::size_t{720}),
                          [](const ::testing::TestParamInfo<std::size_t>& i) {
                            return "n" + std::to_string(i.param);

@@ -3,11 +3,13 @@
 // path's agreement with the local one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "comm/runtime.hpp"
 #include "comm/topology.hpp"
 #include "core/dycore_config.hpp"
+#include "fft/dft.hpp"
 #include "mesh/decomp.hpp"
 #include "ops/filter.hpp"
 #include "util/math.hpp"
@@ -140,6 +142,37 @@ TEST(Filter, ApplyLocalTouchesOnlyActiveRows) {
         if (s.phi()(i, j, k) != before.phi()(i, j, k)) changed = true;
     EXPECT_EQ(changed, filt.row_active(j)) << "row " << j;
   }
+}
+
+TEST(Filter, MatchesDftOracleAtNonPowerOfTwoLength) {
+  // nx = 120 = 2^3*3*5 (the CA workload's mesh): the mixed-radix real
+  // transform, damping and inverse must agree with a line damped through
+  // the O(n^2) reference DFT.
+  const int nx = 120, ny = 48;
+  Fixture f(nx, ny, 4);
+  FourierFilter filt(f.ctx);
+  const double sin_theta = 0.1;
+  const double aspect = nx / (2.0 * ny);
+  std::vector<double> line(nx);
+  std::vector<fft::cplx> x(nx), spec(nx);
+  for (int i = 0; i < nx; ++i) {
+    line[static_cast<std::size_t>(i)] =
+        std::sin(0.37 * i) + 0.5 * std::cos(2.9 * i) + 0.1 * (i % 7);
+    x[static_cast<std::size_t>(i)] = line[static_cast<std::size_t>(i)];
+  }
+  fft::dft(x, spec, /*inverse=*/false);
+  for (int m = 1; m <= nx / 2; ++m) {
+    const double d =
+        std::min(1.0, sin_theta * aspect / std::sin(util::kPi * m / nx));
+    spec[static_cast<std::size_t>(m)] *= d;
+    if (m < nx - m) spec[static_cast<std::size_t>(nx - m)] *= d;
+  }
+  fft::dft(spec, x, /*inverse=*/true);
+  filt.filter_line(line, sin_theta);
+  for (int i = 0; i < nx; ++i)
+    EXPECT_NEAR(line[static_cast<std::size_t>(i)],
+                x[static_cast<std::size_t>(i)].real(), 1e-13)
+        << "i=" << i;
 }
 
 TEST(Filter, DistributedMatchesLocal) {
