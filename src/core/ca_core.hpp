@@ -14,12 +14,12 @@
 // Total: 2 neighbor communications per step instead of 3M + 4.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "comm/topology.hpp"
 #include "core/dycore_config.hpp"
 #include "core/exchange.hpp"
+#include "core/step_plan.hpp"
 #include "mesh/decomp.hpp"
 #include "mesh/latlon.hpp"
 #include "mesh/sigma.hpp"
@@ -116,23 +116,15 @@ class CACore {
   /// core.  Throws std::runtime_error on a magic/version/shape mismatch.
   void restore_carry(util::CarryReader& r);
 
-  /// Test/debug hook: called after every internal update with a label and
-  /// the state holding that update's result.
-  std::function<void(const char*, const state::State&)> debug_observer;
-
  private:
-  enum class Operator { kAdaptation, kAdvection };
-
-  /// Extended update window: the interior grown by ey/ez toward sides
-  /// that have actual neighbors (physical boundaries are handled by BC
-  /// fills instead).
-  mesh::Box extended_window(int ey, int ez) const;
-  void fill_boundaries(state::State& s);
-  /// Evaluates the filtered tendency of `op` at `input` on `window` into
-  /// tend_.  fresh_c runs the two z-line collectives and records the
-  /// column anchors; otherwise the stale anchors are reused (eq. 13).
+  /// Runs `plan` (make_ca_plan / make_ca_finalize_plan) on xi.
+  void execute(const StepPlan& plan, state::State& xi);
+  /// Evaluates the filtered tendency of update.op at `input` on `window`
+  /// into tend_.  Fresh C runs the two z-line collectives over
+  /// update.c_window's face and records the column anchors; stale C
+  /// reuses the last products (eq. 13).
   void eval_tendency(state::State& input, const mesh::Box& window,
-                     Operator op, bool fresh_c);
+                     const PlanEntry& update);
 
   DycoreConfig config_;
   CAOptions options_;

@@ -32,6 +32,12 @@ struct DycoreConfig {
   comm::AllreduceAlgorithm z_allreduce = comm::AllreduceAlgorithm::kAuto;
 };
 
+/// The config's sigma levels (vertically stretched or uniform).
+inline mesh::SigmaLevels make_levels(const DycoreConfig& c) {
+  return c.stretched_levels ? mesh::SigmaLevels::stretched(c.nz)
+                            : mesh::SigmaLevels::uniform(c.nz);
+}
+
 /// Algorithm switches of the communication-avoiding core (see
 /// core/ca_core.hpp).  Lives here, beside DycoreConfig, so the service's
 /// JobSpec can carry per-job CA options without pulling in the whole

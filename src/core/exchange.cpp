@@ -23,69 +23,53 @@ int item_tag(int item, int dx, int dy, int dz) {
   return kTagExchangeBase + item * 27 + dir_index(dx, dy, dz);
 }
 
-/// 2-D send/recv spans along one axis.
-struct Span2 {
-  int lo, hi;
-};
-
-Span2 send_span(int n, int d, int w) {
-  if (d == 0) return {0, n};
-  return d < 0 ? Span2{0, w} : Span2{n - w, n};
+HaloFootprint footprint(const ExchangeItem& item) {
+  return {item.wx, item.wy, item.wz, item.f2 != nullptr};
 }
 
-Span2 recv_span(int n, int d, int w) {
-  if (d == 0) return {0, n};
-  return d < 0 ? Span2{-w, 0} : Span2{n, n + w};
-}
-
-/// Whether `item` exchanges data with the neighbor at offset (dx, dy, dz):
-/// every nonzero offset axis must carry a nonzero halo width, and 2-D
-/// fields never exchange along z.  Identical on the send and receive
-/// sides, so every posted receive has a matching send.
-bool participates(const ExchangeItem& item, int dx, int dy, int dz) {
-  if ((dx != 0 && item.wx == 0) || (dy != 0 && item.wy == 0)) return false;
-  if (dz != 0 && (item.wz == 0 || item.f2 != nullptr)) return false;
-  return true;
-}
-
-/// Doubles `item` sends toward offset (dx, dy, dz).  Neighbor blocks share
-/// local extents along zero-offset axes, so this is also the neighbor's
-/// matching receive volume.
-std::size_t send_volume(const ExchangeItem& item, int dx, int dy, int dz) {
-  if (item.f3 != nullptr) {
-    const auto& f = *item.f3;
-    return static_cast<std::size_t>(
-        mesh::send_box(f.nx(), f.ny(), f.nz(), dx, dy, dz, item.wx, item.wy,
-                       item.wz)
-            .volume());
-  }
-  const auto& f = *item.f2;
-  const Span2 sx = send_span(f.nx(), dx, item.wx);
-  const Span2 sy = send_span(f.ny(), dy, item.wy);
-  return static_cast<std::size_t>(sx.hi - sx.lo) *
-         static_cast<std::size_t>(sy.hi - sy.lo);
+/// Local extents of the item's array (a 2-D field is one layer deep, and
+/// only participates along offsets with dz == 0).
+std::array<int, 3> extents(const ExchangeItem& item) {
+  if (item.f3 != nullptr)
+    return {item.f3->nx(), item.f3->ny(), item.f3->nz()};
+  return {item.f2->nx(), item.f2->ny(), 1};
 }
 
 /// Packs `item`'s send region toward (dx, dy, dz) into dst (exactly
 /// send_volume doubles, x-fastest).
 void pack_item(const ExchangeItem& item, int dx, int dy, int dz,
                std::span<double> dst) {
+  const auto n = extents(item);
+  const mesh::Box sb = mesh::send_box(n[0], n[1], n[2], dx, dy, dz, item.wx,
+                                      item.wy, item.wz);
   if (item.f3 != nullptr) {
-    const auto& f = *item.f3;
-    const mesh::Box sb = mesh::send_box(f.nx(), f.ny(), f.nz(), dx, dy, dz,
-                                        item.wx, item.wy, item.wz);
-    mesh::pack_box(f, sb, dst);
+    mesh::pack_box(*item.f3, sb, dst);
     return;
   }
-  const auto& f = *item.f2;
-  const Span2 sx = send_span(f.nx(), dx, item.wx);
-  const Span2 sy = send_span(f.ny(), dy, item.wy);
   std::size_t idx = 0;
-  for (int j = sy.lo; j < sy.hi; ++j)
-    for (int i = sx.lo; i < sx.hi; ++i) dst[idx++] = f(i, j);
+  for (int j = sb.j0; j < sb.j1; ++j)
+    for (int i = sb.i0; i < sb.i1; ++i) dst[idx++] = (*item.f2)(i, j);
 }
 
 }  // namespace
+
+bool participates(const HaloFootprint& f, int dx, int dy, int dz) {
+  if ((dx != 0 && f.wx == 0) || (dy != 0 && f.wy == 0)) return false;
+  if (dz != 0 && (f.wz == 0 || f.is2d)) return false;
+  return true;
+}
+
+std::size_t send_volume(const HaloFootprint& f, std::array<int, 3> n,
+                        int dx, int dy, int dz) {
+  const mesh::Box b = mesh::send_box(n[0], n[1], f.is2d ? 1 : n[2], dx, dy,
+                                     f.is2d ? 0 : dz, f.wx, f.wy, f.wz);
+  return static_cast<std::size_t>(b.volume());
+}
+
+void fill_boundaries(const ops::OpContext& ctx, state::State& s) {
+  const auto h = s.u().halo();
+  apply_physical_boundaries(ctx, s, h.x, std::max(h.y, s.psa().hy()), h.z);
+}
 
 void apply_physical_boundaries(const ops::OpContext& ctx, state::State& s,
                                int wx, int wy, int wz) {
@@ -95,15 +79,8 @@ void apply_physical_boundaries(const ops::OpContext& ctx, state::State& s,
     mesh::fill_x_periodic(s.u(), clamp3(wx, s.u().halo().x));
     mesh::fill_x_periodic(s.v(), clamp3(wx, s.v().halo().x));
     mesh::fill_x_periodic(s.phi(), clamp3(wx, s.phi().halo().x));
-    // 2-D field: wrap through a thin 3-D view equivalent.
-    auto& psa = s.psa();
-    const int hw = std::min(wx + ops::kSurfaceRing, psa.hx());
-    for (int j = -psa.hy(); j < psa.ny() + psa.hy(); ++j) {
-      for (int dx = 1; dx <= hw; ++dx) {
-        psa(-dx, j) = psa(psa.nx() - dx, j);
-        psa(psa.nx() - 1 + dx, j) = psa(dx - 1, j);
-      }
-    }
+    mesh::fill_x_periodic(s.psa(),
+                          std::min(wx + ops::kSurfaceRing, s.psa().hx()));
   }
   if (wy > 0) {
     if (d.at_north_pole()) {
@@ -165,10 +142,11 @@ void HaloExchanger::post(int nbr, int dx, int dy, int dz) {
   const auto& topo = *topo_;
   for (std::size_t it = 0; it < items_.size(); ++it) {
     const ExchangeItem& item = items_[it];
-    if (!participates(item, dx, dy, dz)) continue;
+    if (!participates(footprint(item), dx, dy, dz)) continue;
 
     auto sbuf = acquire(send_pool_, send_cursor_,
-                        send_volume(item, dx, dy, dz));
+                        send_volume(footprint(item), extents(item), dx, dy,
+                                    dz));
     pack_item(item, dx, dy, dz, sbuf);
     ctx_->send_values<double>(topo.comm, nbr,
                               item_tag(static_cast<int>(it), dx, dy, dz),
@@ -178,16 +156,9 @@ void HaloExchanger::post(int nbr, int dx, int dy, int dz) {
     PendingRecv pr;
     pr.item = static_cast<int>(it);
     pr.nbr = nbr;
-    if (item.f3 != nullptr) {
-      const auto& f = *item.f3;
-      pr.box = mesh::recv_box(f.nx(), f.ny(), f.nz(), dx, dy, dz, item.wx,
-                              item.wy, item.wz);
-    } else {
-      const auto& f = *item.f2;
-      const Span2 rx = recv_span(f.nx(), dx, item.wx);
-      const Span2 ry = recv_span(f.ny(), dy, item.wy);
-      pr.box = mesh::Box{rx.lo, rx.hi, ry.lo, ry.hi, 0, 1};
-    }
+    const auto n = extents(item);
+    pr.box = mesh::recv_box(n[0], n[1], n[2], dx, dy, dz, item.wx, item.wy,
+                            item.wz);
     pr.buffer = acquire(recv_pool_, recv_cursor_,
                         static_cast<std::size_t>(pr.box.volume()));
     pr.request = ctx_->irecv_values<double>(
@@ -270,14 +241,10 @@ void HaloExchanger::exchange(const std::vector<ExchangeItem>& items,
   finish();
 }
 
-void compute_diagnostics(const ops::OpContext& ctx, comm::Context* comm_ctx,
-                         const comm::Communicator* line_z,
-                         const state::State& xi, const mesh::Box& window,
-                         ops::DiagWorkspace& ws, bool stale_vert,
-                         comm::AllreduceAlgorithm alg,
-                         const std::string& phase) {
-  ops::compute_local_diag(ctx, xi, window, ws);
-  if (stale_vert) return;  // ws.vert keeps the last C's products
+void compute_c(const ops::OpContext& ctx, comm::Context* comm_ctx,
+               const comm::Communicator* line_z, const state::State& xi,
+               const mesh::Box& window, ops::DiagWorkspace& ws,
+               comm::AllreduceAlgorithm alg, const std::string& phase) {
   const bool distributed = line_z != nullptr && line_z->size() > 1;
   if (!distributed) {
     ops::compute_vert_diag_serial(ctx, xi, window, ws);
@@ -289,10 +256,14 @@ void compute_diagnostics(const ops::OpContext& ctx, comm::Context* comm_ctx,
 
   // Pack [own_div | own_phi] over the ring face and run the two z-line
   // collectives (the operator C's communication).
-  const int fi = ring.i1 - ring.i0;
-  const int fj = ring.j1 - ring.j0;
-  const std::size_t face = static_cast<std::size_t>(fi) * fj;
-  std::vector<double> own(2 * face), total(2 * face), prefix(2 * face);
+  const std::size_t face = static_cast<std::size_t>(ring.i1 - ring.i0) *
+                           static_cast<std::size_t>(ring.j1 - ring.j0);
+  auto& own = ws.column_own;
+  auto& total = ws.column_total;
+  auto& prefix = ws.column_prefix;
+  own.resize(2 * face);
+  total.resize(2 * face);
+  prefix.resize(2 * face);
   std::size_t idx = 0;
   for (int j = ring.j0; j < ring.j1; ++j) {
     for (int i = ring.i0; i < ring.i1; ++i) {
@@ -303,7 +274,7 @@ void compute_diagnostics(const ops::OpContext& ctx, comm::Context* comm_ctx,
   }
   if (comm_ctx == nullptr)
     throw std::invalid_argument(
-        "compute_diagnostics: distributed path needs a comm context");
+        "compute_c: distributed path needs a comm context");
   comm_ctx->stats().set_phase(phase);
   comm::allreduce<double>(*comm_ctx, *line_z, own, total,
                           comm::ReduceOp::kSum, alg);
@@ -321,6 +292,17 @@ void compute_diagnostics(const ops::OpContext& ctx, comm::Context* comm_ctx,
   }
   ops::column_finish(ctx, xi, ring, ws.local, ws.base_div, ws.total_div,
                      ws.base_phi, ws.own_phi, ws.total_phi, ws.vert);
+}
+
+void compute_diagnostics(const ops::OpContext& ctx, comm::Context* comm_ctx,
+                         const comm::Communicator* line_z,
+                         const state::State& xi, const mesh::Box& window,
+                         ops::DiagWorkspace& ws, bool stale_vert,
+                         comm::AllreduceAlgorithm alg,
+                         const std::string& phase) {
+  ops::compute_local_diag(ctx, xi, window, ws);
+  // A stale evaluation keeps the last C's products in ws.vert.
+  if (!stale_vert) compute_c(ctx, comm_ctx, line_z, xi, window, ws, alg, phase);
 }
 
 state::State gather_global(const ops::OpContext& ctx, comm::Context& cc,

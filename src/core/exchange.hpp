@@ -6,6 +6,7 @@
 //     collectives (allreduce + exscan) + column finish
 #pragma once
 
+#include <array>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,6 +27,10 @@ namespace ca::core {
 void apply_physical_boundaries(const ops::OpContext& ctx, state::State& s,
                                int wx, int wy, int wz);
 
+/// apply_physical_boundaries at every depth the state allocates (the
+/// fill the cores run after each exchange and redundant update).
+void fill_boundaries(const ops::OpContext& ctx, state::State& s);
+
 /// One field (3-D or 2-D) participating in a halo exchange, with
 /// per-axis halo widths.
 struct ExchangeItem {
@@ -33,6 +38,26 @@ struct ExchangeItem {
   util::Array2D<double>* f2 = nullptr;
   int wx = 0, wy = 0, wz = 0;
 };
+
+/// The shape of an exchanged field: per-axis halo widths, and whether it
+/// is 2-D (2-D fields never exchange along z).
+struct HaloFootprint {
+  int wx = 0, wy = 0, wz = 0;
+  bool is2d = false;
+};
+
+/// Whether a field exchanges data with the neighbor at offset (dx, dy,
+/// dz): every nonzero offset axis must carry a nonzero halo width, and
+/// 2-D fields never exchange along z.  Identical on the send and receive
+/// sides, so every posted receive has a matching send.
+bool participates(const HaloFootprint& f, int dx, int dy, int dz);
+
+/// Doubles a field of local extents `n` ({lnx, lny, lnz}; lnz is ignored
+/// for 2-D fields) sends toward offset (dx, dy, dz).  Neighbor blocks
+/// share local extents along zero-offset axes, so this is also the
+/// neighbor's matching receive volume.
+std::size_t send_volume(const HaloFootprint& f, std::array<int, 3> n,
+                        int dx, int dy, int dz);
 
 /// Neighbor halo exchange over the Cartesian topology: one message per
 /// (neighbor, item) pair — the granularity the paper counts ("about 20
@@ -95,6 +120,15 @@ class HaloExchanger {
   std::size_t send_cursor_ = 0, recv_cursor_ = 0;
   std::size_t last_message_count_ = 0;
 };
+
+/// The operator C on `window`'s face ring into ws.vert: column partials,
+/// the two z-line collectives (allreduce + exscan, charged to `phase`)
+/// when line_z has more than one rank, and the column finish.  The
+/// collectives pack into ws's reused column buffers.
+void compute_c(const ops::OpContext& ctx, comm::Context* comm_ctx,
+               const comm::Communicator* line_z, const state::State& xi,
+               const mesh::Box& window, ops::DiagWorkspace& ws,
+               comm::AllreduceAlgorithm alg, const std::string& phase);
 
 /// Computes the full diagnostics (LocalDiag + VertDiag) for an update
 /// window, inserting the two z-line collectives when line_z has more than

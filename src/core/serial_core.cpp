@@ -6,15 +6,6 @@
 #include "ops/smoothing.hpp"
 
 namespace ca::core {
-namespace {
-
-mesh::SigmaLevels make_levels(const DycoreConfig& c) {
-  return c.stretched_levels ? mesh::SigmaLevels::stretched(c.nz)
-                            : mesh::SigmaLevels::uniform(c.nz);
-}
-
-}  // namespace
-
 SerialCore::SerialCore(const DycoreConfig& config, comm::Context* comm_ctx)
     : config_(config),
       comm_ctx_(comm_ctx),

@@ -124,6 +124,17 @@ void fill_x_periodic(util::Array3D<double>& a, int wx) {
   }
 }
 
+void fill_x_periodic(util::Array2D<double>& a, int wx) {
+  assert(wx <= a.hx());
+  const int nx = a.nx();
+  for (int j = -a.hy(); j < a.ny() + a.hy(); ++j) {
+    for (int d = 1; d <= wx; ++d) {
+      a(-d, j) = a(nx - d, j);
+      a(nx - 1 + d, j) = a(d - 1, j);
+    }
+  }
+}
+
 void fill_z_top(util::Array3D<double>& a, int wz) {
   assert(wz <= a.halo().z);
   const int hx = a.halo().x;

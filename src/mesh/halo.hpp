@@ -83,6 +83,8 @@ void fill_pole_south(util::Array3D<double>& a, int wy, PoleParity parity);
 /// Fills x halos by periodic wrap from the owned extent (valid only when
 /// the rank owns the whole x direction, i.e. px = 1).
 void fill_x_periodic(util::Array3D<double>& a, int wx);
+/// Same for a 2-D field (every halo row).
+void fill_x_periodic(util::Array2D<double>& a, int wx);
 
 /// Zero-gradient fill of z halos above the model top (k < 0) and/or below
 /// the surface (k >= nz).

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <vector>
 
 #include "mesh/halo.hpp"
 #include "ops/context.hpp"
@@ -32,6 +33,9 @@ struct DiagWorkspace {
   util::Array2D<double> own_div, own_phi;      ///< per-rank column sums
   util::Array2D<double> base_div, base_phi;    ///< exscan prefixes
   util::Array2D<double> total_div, total_phi;  ///< allreduce totals
+  /// Packed [div | phi] face vectors of the z-line collectives, kept
+  /// across calls so the distributed C allocates nothing once warm.
+  std::vector<double> column_own, column_total, column_prefix;
 
   /// The cross-step carry of the communication-avoiding core: the stale C
   /// products (VertDiag) reused by the approximate nonlinear iteration

@@ -44,12 +44,6 @@ double allreduce_time(const MachineModel& m, int p, std::size_t bytes) {
                   recursive_doubling_allreduce_time(m, p, bytes));
 }
 
-double bcast_time(const MachineModel& m, int p, std::size_t bytes) {
-  if (p <= 1) return 0.0;
-  return ceil_log2(p) * (m.alpha + m.collective_round_overhead +
-                         m.beta * static_cast<double>(bytes));
-}
-
 double distributed_fft_time(const MachineModel& m, int p, std::size_t n,
                             std::size_t lines) {
   const double local = static_cast<double>(n) / std::max(p, 1) *

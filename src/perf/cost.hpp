@@ -25,9 +25,6 @@ double recursive_doubling_allreduce_time(const MachineModel& m, int p,
 /// Cost-optimal allreduce choice (mirrors comm::allreduce kAuto).
 double allreduce_time(const MachineModel& m, int p, std::size_t bytes);
 
-/// Binomial broadcast.
-double bcast_time(const MachineModel& m, int p, std::size_t bytes);
-
 /// Distributed 1-D FFT of an n-point line spread over p ranks using
 /// butterfly exchanges: log2(p) rounds each moving the local slab, plus
 /// the local n/p log2(n) butterfly work.  `lines` independent transforms

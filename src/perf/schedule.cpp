@@ -73,10 +73,4 @@ void Schedule::add_exchange(int rank, const std::vector<int>& peers,
   add_waitall(rank, phase);
 }
 
-std::size_t Schedule::total_ops() const {
-  std::size_t n = 0;
-  for (const auto& prog : programs_) n += prog.size();
-  return n;
-}
-
 }  // namespace ca::perf

@@ -2,9 +2,9 @@
 // computation program of one algorithm variant (original X-Y, original
 // Y-Z, communication-avoiding), expressed as explicit ops.  The event
 // simulator (event_sim.hpp) executes a Schedule under a MachineModel; the
-// schedule builders (core/schedule_builders.hpp) emit exactly the op
-// sequence the functional runtime performs, which tests cross-check via
-// the runtime's traffic statistics.
+// schedule builders (core/schedule_builders.hpp) lower the functional
+// cores' step plans into it, which tests cross-check via the runtime's
+// traffic statistics.
 #pragma once
 
 #include <cstddef>
@@ -66,9 +66,6 @@ class Schedule {
     return programs_[static_cast<std::size_t>(rank)];
   }
   const std::vector<std::vector<int>>& groups() const { return groups_; }
-
-  /// Total op count across ranks (size guard for tests).
-  std::size_t total_ops() const;
 
  private:
   std::vector<std::vector<Op>> programs_;

@@ -17,12 +17,7 @@ void fill_boundaries_2d(const mesh::DomainDecomp& d,
                         util::Array2D<double>& f, bool antisymmetric) {
   const int nx = f.nx(), ny = f.ny();
   // Periodic x (the y decomposition keeps full circles).
-  for (int j = -f.hy(); j < ny + f.hy(); ++j) {
-    for (int dx = 1; dx <= f.hx(); ++dx) {
-      f(-dx, j) = f(nx - dx, j);
-      f(nx - 1 + dx, j) = f(dx - 1, j);
-    }
-  }
+  mesh::fill_x_periodic(f, f.hx());
   if (d.at_north_pole()) {
     for (int dd = 1; dd <= f.hy(); ++dd)
       for (int i = -f.hx(); i < nx + f.hx(); ++i)

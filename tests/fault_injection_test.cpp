@@ -19,11 +19,18 @@
 #include "core/exchange.hpp"
 #include "perf/report.hpp"
 #include "util/config.hpp"
+#include "dump_dir.hpp"
 
 namespace ca::comm {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// This suite's flight-dump directory.
+const std::string& dump_dir() {
+  static const std::string dir = fresh_dump_dir("fault_injection");
+  return dir;
+}
 
 double elapsed_seconds(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -114,6 +121,7 @@ TEST(FaultInjection, DelayRecoversBitForBit) {
   FaultPlan plan(11);
   plan.add_rule(rule(FaultKind::kDelay, 1.0, 3));
   RunOptions opts;
+  opts.obs.dump_dir = dump_dir();
   opts.faults = &plan;
   const auto start = Clock::now();
   Runtime::run(2, opts, [](Context& ctx) {
@@ -144,6 +152,7 @@ TEST(FaultInjection, DuplicateSuppressedInOrder) {
   FaultPlan plan(13);
   plan.add_rule(rule(FaultKind::kDuplicate, 1.0));
   RunOptions opts;
+  opts.obs.dump_dir = dump_dir();
   opts.faults = &plan;
   const auto start = Clock::now();
   Runtime::run(2, opts, [](Context& ctx) {
@@ -173,6 +182,7 @@ TEST(FaultInjection, DropRecoversViaRetransmission) {
   FaultPlan plan(17);
   plan.add_rule(rule(FaultKind::kDrop, 1.0));
   RunOptions opts;
+  opts.obs.dump_dir = dump_dir();
   opts.faults = &plan;
   opts.max_resends = 1;
   const auto start = Clock::now();
@@ -200,6 +210,7 @@ TEST(FaultInjection, DropDetectedAsTimeoutWhenRetriesDisabled) {
   FaultPlan plan(19);
   plan.add_rule(rule(FaultKind::kDrop, 1.0));
   RunOptions opts;
+  opts.obs.dump_dir = dump_dir();
   opts.faults = &plan;
   opts.max_resends = 0;  // no retransmission: the drop must surface
   opts.recv_timeout = std::chrono::milliseconds(250);
@@ -230,6 +241,7 @@ TEST(FaultInjection, CorruptDetectedByChecksum) {
   FaultPlan plan(23);
   plan.add_rule(rule(FaultKind::kCorrupt, 1.0, 1));
   RunOptions opts;
+  opts.obs.dump_dir = dump_dir();
   opts.faults = &plan;
   const auto start = Clock::now();
   EXPECT_THROW(
@@ -260,6 +272,7 @@ TEST(FaultInjection, StallDetectedByPeerTimeout) {
   r.src = 0;                                         // stall rank 0 only
   plan.add_rule(r);
   RunOptions opts;
+  opts.obs.dump_dir = dump_dir();
   opts.faults = &plan;
   opts.recv_timeout = std::chrono::milliseconds(150);
   const auto start = Clock::now();
@@ -289,6 +302,7 @@ TEST(FaultInjection, StallRecoversUnderGenerousTimeout) {
   r.src = 0;
   plan.add_rule(r);
   RunOptions opts;
+  opts.obs.dump_dir = dump_dir();
   opts.faults = &plan;
   const auto start = Clock::now();
   Runtime::run(2, opts, [](Context& ctx) {
@@ -359,6 +373,7 @@ TEST(FaultInjection, CACoreRecoversBitForBitFromRecoverableFaults) {
   plan.add_rule(rule(FaultKind::kDuplicate, 0.08));
   plan.add_rule(rule(FaultKind::kDelay, 0.08, 2));
   RunOptions opts;
+  opts.obs.dump_dir = dump_dir();
   opts.faults = &plan;
   const auto start = Clock::now();
   const state::State chaos = run_ca(cfg, dims, kSteps, opts);

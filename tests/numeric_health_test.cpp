@@ -25,11 +25,18 @@
 #include "service/service.hpp"
 #include "state/state.hpp"
 #include "util/checkpoint.hpp"
+#include "dump_dir.hpp"
 
 namespace ca::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// This suite's flight-dump directory.
+const std::string& dump_dir() {
+  static const std::string dir = fresh_dump_dir("numeric_health");
+  return dir;
+}
 
 core::DycoreConfig health_config() {
   core::DycoreConfig c;
@@ -73,6 +80,7 @@ state::State solo_run(JobSpec spec, const std::string& prefix) {
   spec.checkpoint_every = 0;
   spec.comm = comm::RunOptions{};
   AttemptOptions o;
+  o.obs.dump_dir = dump_dir();
   o.checkpoint_prefix = prefix;
   AttemptResult r = run_attempt(spec, o);
   EXPECT_TRUE(r.completed(spec.steps))
@@ -199,6 +207,7 @@ TEST(NumericHealth, DetectionWithinTheSentinelCadence) {
   spec.faults = poison_plan(/*field=*/0, /*mode=*/0, /*step_idx=*/3);
 
   AttemptOptions o;
+  o.obs.dump_dir = dump_dir();
   o.attempt = 1;
   o.checkpoint_prefix = dir + "/latency";
   o.health.cadence = 3;  // checks at absolute steps 3, 6, 9
@@ -229,6 +238,7 @@ TEST(NumericHealth, PoisonedStateIsNeverCheckpointed) {
   spec.faults = poison_plan(/*field=*/2, /*mode=*/2, /*step_idx=*/2);
 
   AttemptOptions o;
+  o.obs.dump_dir = dump_dir();
   o.attempt = 1;
   o.checkpoint_prefix = dir + "/job";
   o.health.cadence = 1;
@@ -258,6 +268,7 @@ TEST(NumericHealth, ServiceRollsBackAndCompletesBitwiseOnEveryCore) {
   const std::string dir = temp_dir("rollback");
 
   ServiceOptions opt;
+  opt.obs.dump_dir = dump_dir();
   opt.slots = 1;
   opt.rank_budget = 4;
   opt.checkpoint_dir = dir;
@@ -333,6 +344,7 @@ TEST(NumericHealth, NumericRetryBudgetExhaustionFailsTheJob) {
   const std::string dir = temp_dir("exhaust");
 
   ServiceOptions opt;
+  opt.obs.dump_dir = dump_dir();
   opt.slots = 1;
   opt.rank_budget = 2;
   opt.checkpoint_dir = dir;

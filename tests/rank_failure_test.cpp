@@ -29,11 +29,18 @@
 #include "util/checkpoint.hpp"
 #include "util/config.hpp"
 #include "util/json.hpp"
+#include "dump_dir.hpp"
 
 namespace ca {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// This suite's flight-dump directory.
+const std::string& dump_dir() {
+  static const std::string dir = fresh_dump_dir("rank_failure");
+  return dir;
+}
 
 double elapsed_seconds(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -61,6 +68,7 @@ TEST(RankFailureComm, KilledRankPoisonsThePeersPromptly) {
   comm::FaultPlan plan(3);
   plan.add_rule(step_rule(comm::FaultKind::kKillRank, /*src=*/0, /*step=*/0));
   comm::RunOptions opts;
+  opts.obs.dump_dir = dump_dir();
   opts.faults = &plan;
   opts.recv_timeout = std::chrono::seconds(20);
   opts.heartbeat_timeout = std::chrono::milliseconds(250);
@@ -94,6 +102,7 @@ TEST(RankFailureComm, HungRankDetectedWithinHeartbeatTimeout) {
   plan.add_rule(step_rule(comm::FaultKind::kHangRank, /*src=*/0, /*step=*/0,
                           /*param=*/4000));
   comm::RunOptions opts;
+  opts.obs.dump_dir = dump_dir();
   opts.faults = &plan;
   opts.recv_timeout = std::chrono::seconds(20);
   opts.heartbeat_timeout = std::chrono::milliseconds(250);
@@ -130,6 +139,7 @@ TEST(RankFailureComm, KilledRankUnwindsInFlightAsyncPosts) {
   comm::FaultPlan plan(11);
   plan.add_rule(step_rule(comm::FaultKind::kKillRank, /*src=*/0, /*step=*/1));
   comm::RunOptions opts;
+  opts.obs.dump_dir = dump_dir();
   opts.faults = &plan;
   opts.recv_timeout = std::chrono::seconds(20);
   opts.heartbeat_timeout = std::chrono::milliseconds(250);
@@ -300,6 +310,7 @@ state::State solo_run(svc::JobSpec spec, const std::string& prefix) {
   spec.checkpoint_every = 0;
   spec.comm = comm::RunOptions{};
   svc::AttemptOptions o;
+  o.obs.dump_dir = dump_dir();
   o.checkpoint_prefix = prefix;
   svc::AttemptResult r = svc::run_attempt(spec, o);
   EXPECT_TRUE(r.completed(spec.steps))
@@ -349,6 +360,7 @@ TEST(RankFailureService, KillRecoversBitwiseUnderEveryCore) {
     const state::State reference = solo_run(spec, dir + "/solo");
 
     svc::ServiceOptions opt;
+    opt.obs.dump_dir = dump_dir();
     opt.slots = 2;
     opt.rank_budget = 4;
     opt.checkpoint_dir = dir;
@@ -396,6 +408,7 @@ TEST(RankFailureService, HangRecoversBitwiseUnderEveryCore) {
     const state::State reference = solo_run(spec, dir + "/solo");
 
     svc::ServiceOptions opt;
+    opt.obs.dump_dir = dump_dir();
     opt.slots = 2;
     opt.rank_budget = 4;
     opt.checkpoint_dir = dir;
@@ -436,6 +449,7 @@ TEST(RankFailureService, CircuitBreakerRetiresAndReshapesTheJob) {
   const state::State reference = solo_run(spec, dir + "/solo");
 
   svc::ServiceOptions opt;
+  opt.obs.dump_dir = dump_dir();
   opt.slots = 1;
   opt.rank_budget = 2;
   opt.checkpoint_dir = dir;
@@ -494,6 +508,7 @@ TEST(RankFailureService, CAJobReshardsOntoTheSurvivorsBitwise) {
   ASSERT_GT(reference.interior().volume(), 0);
 
   svc::ServiceOptions opt;
+  opt.obs.dump_dir = dump_dir();
   opt.slots = 1;
   opt.rank_budget = 2;
   opt.checkpoint_dir = dir;
@@ -538,6 +553,7 @@ TEST(RankFailureService, ReshapeInvalidatesStaleShapedReplicas) {
   const state::State reference = solo_run(spec, dir + "/solo");
 
   svc::ServiceOptions opt;
+  opt.obs.dump_dir = dump_dir();
   opt.slots = 1;
   opt.rank_budget = 2;
   opt.checkpoint_dir = dir;
@@ -579,6 +595,7 @@ TEST(RankFailureService, ReplicatedKillRecoversFromBuddyRamWithoutDisk) {
     const state::State reference = solo_run(spec, dir + "/solo");
 
     svc::ServiceOptions opt;
+    opt.obs.dump_dir = dump_dir();
     opt.slots = 2;
     opt.rank_budget = 4;
     opt.checkpoint_dir = dir;
@@ -629,6 +646,7 @@ TEST(RankFailureService, CorruptReplicasFallBackToDiskBitwise) {
 
   svc::ReplicaStore store;
   svc::AttemptOptions o1;
+  o1.obs.dump_dir = dump_dir();
   o1.attempt = 1;
   o1.checkpoint_prefix = dir + "/job";
   o1.replicas = &store;
@@ -685,6 +703,7 @@ TEST(RankFailureService, SubmitAfterRetirementDoesNotWedgeThePool) {
       "bait", svc::CoreKind::kOriginal, {1, 2, 1}, comm::FaultKind::kKillRank);
 
   svc::ServiceOptions opt;
+  opt.obs.dump_dir = dump_dir();
   opt.slots = 1;
   opt.rank_budget = 2;
   opt.checkpoint_dir = dir;

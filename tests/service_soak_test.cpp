@@ -18,11 +18,18 @@
 #include "service/service.hpp"
 #include "state/state.hpp"
 #include "util/checkpoint.hpp"
+#include "dump_dir.hpp"
 
 namespace ca::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// This suite's flight-dump directory.
+const std::string& dump_dir() {
+  static const std::string dir = fresh_dump_dir("service_soak");
+  return dir;
+}
 
 double elapsed_seconds(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -74,6 +81,7 @@ state::State solo_run(JobSpec spec, const std::string& prefix) {
   spec.checkpoint_every = 0;
   spec.comm = comm::RunOptions{};
   AttemptOptions o;
+  o.obs.dump_dir = dump_dir();
   o.checkpoint_prefix = prefix;
   AttemptResult r = run_attempt(spec, o);
   EXPECT_TRUE(r.completed(spec.steps))
@@ -125,6 +133,7 @@ TEST(ServiceSoak, MixedQueueCompletesOrFailsTerminally) {
   const auto start = Clock::now();
 
   ServiceOptions opt;
+  opt.obs.dump_dir = dump_dir();
   opt.slots = 3;
   opt.rank_budget = 4;
   opt.queue_capacity = 16;
@@ -272,6 +281,7 @@ TEST(ServiceSoak, CAPreemptResumeBitwise) {
   const auto start = Clock::now();
 
   ServiceOptions opt;
+  opt.obs.dump_dir = dump_dir();
   opt.slots = 2;
   opt.rank_budget = 4;
   opt.checkpoint_dir = dir;
@@ -335,6 +345,7 @@ TEST(ServiceSoak, CAElasticSqueezeAndRegrowBitwise) {
   const auto start = Clock::now();
 
   ServiceOptions opt;
+  opt.obs.dump_dir = dump_dir();
   opt.slots = 2;
   opt.rank_budget = 4;
   opt.checkpoint_dir = dir;
@@ -417,6 +428,7 @@ TEST(ServiceSoak, ConcurrentShutdownIsSafe) {
   const core::DycoreConfig cfg = soak_config();
 
   PoolOptions opt;
+  opt.obs.dump_dir = dump_dir();
   opt.slots = 2;
   opt.rank_budget = 2;
   opt.checkpoint_dir = temp_dir("concurrent_shutdown");
@@ -461,6 +473,7 @@ TEST(ServiceSoak, RetryResumesFromTheCheckpointHeaderStep) {
 
   // Attempt 1 yields at the first checkpoint: file records step 2.
   AttemptOptions o;
+  o.obs.dump_dir = dump_dir();
   o.checkpoint_prefix = prefix;
   o.should_yield = [] { return true; };
   AttemptResult a1 = run_attempt(j, o);
@@ -505,6 +518,7 @@ TEST(ServiceSoak, InconsistentCheckpointSetFailsTheAttempt) {
   j.checkpoint_every = 2;
 
   AttemptOptions o;
+  o.obs.dump_dir = dump_dir();
   o.checkpoint_prefix = prefix;
   o.should_yield = [] { return true; };
   AttemptResult a1 = run_attempt(j, o);
@@ -543,6 +557,7 @@ TEST(ServiceSoak, ShutdownCancelsBackoffGates) {
   const auto start = Clock::now();
 
   PoolOptions opt;
+  opt.obs.dump_dir = dump_dir();
   opt.slots = 1;
   opt.rank_budget = 2;
   opt.checkpoint_dir = temp_dir("shutdown");
@@ -592,6 +607,7 @@ TEST(ServiceSoak, AgingBoundsLowPriorityWaitUnderABimodalMix) {
   const auto start = Clock::now();
 
   ServiceOptions opt;
+  opt.obs.dump_dir = dump_dir();
   opt.slots = 1;
   opt.rank_budget = 1;
   opt.queue_capacity = 8;
@@ -691,6 +707,7 @@ TEST(ServiceSoak, RetryCompletesAfterTransientFault) {
   const state::State reference = solo_run(j, dir + "/solo");
 
   ServiceOptions opt;
+  opt.obs.dump_dir = dump_dir();
   opt.slots = 1;
   opt.rank_budget = 2;
   opt.checkpoint_dir = dir;
