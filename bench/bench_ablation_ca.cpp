@@ -57,8 +57,7 @@ int main() {
   for (int p : setup.procs) {
     const auto t = run_scaled(
         setup,
-        core::build_original_schedule(setup.params(setup.yz_grid(p)),
-                                      core::DecompScheme::kYZ, machine),
+        core::build_original_schedule(setup.params(setup.yz_grid(p)), machine),
         machine);
     std::printf(" %11.0f", t.total);
   }

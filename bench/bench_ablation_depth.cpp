@@ -25,9 +25,8 @@ int main() {
   for (int M : {1, 2, 3, 4, 5, 6}) {
     auto sp = setup.params(setup.yz_grid(p));
     sp.M = M;
-    const auto yz = perf::simulate(
-        core::build_original_schedule(sp, core::DecompScheme::kYZ, machine),
-        machine);
+    const auto yz =
+        perf::simulate(core::build_original_schedule(sp, machine), machine);
     const auto ca =
         perf::simulate(core::build_ca_schedule(sp, machine), machine);
     // Redundant-computation factor: CA compute / original compute.

@@ -37,17 +37,16 @@ int main() {
     const auto yz = run_scaled(
         setup,
         core::build_original_schedule(setup.params(setup.yz_grid(g.p)),
-                                      core::DecompScheme::kYZ, machine),
+                                      machine),
         machine);
     const auto xy = run_scaled(
         setup,
         core::build_original_schedule(setup.params(setup.xy_grid(g.p)),
-                                      core::DecompScheme::kXY, machine),
+                                      machine),
         machine);
     const auto d3 = run_scaled(
         setup,
-        core::build_original_schedule(setup.params(g.grid),
-                                      core::DecompScheme::k3D, machine),
+        core::build_original_schedule(setup.params(g.grid), machine),
         machine);
     const double best2d = std::min(yz.total, xy.total);
     std::printf("%6d %14.0f %14.0f %14.0f | %11.2fx\n", g.p, yz.total,

@@ -29,8 +29,8 @@ int main() {
       const auto grid = scheme == core::DecompScheme::kYZ
                             ? setup.yz_grid(p)
                             : setup.xy_grid(p);
-      const auto sched = core::build_original_schedule(setup.params(grid),
-                                                       scheme, machine);
+      const auto sched =
+          core::build_original_schedule(setup.params(grid), machine);
       const auto result = perf::simulate(sched, machine);
       // Average per-rank shares (the paper's bars are per-run fractions).
       double comm = 0.0, comp = 0.0;

@@ -22,13 +22,11 @@ int main() {
   for (int p : setup.procs) {
     const auto xy = run_scaled(
         setup,
-        core::build_original_schedule(setup.params(setup.xy_grid(p)),
-                                      core::DecompScheme::kXY, machine),
+        core::build_original_schedule(setup.params(setup.xy_grid(p)), machine),
         machine);
     const auto yz = run_scaled(
         setup,
-        core::build_original_schedule(setup.params(setup.yz_grid(p)),
-                                      core::DecompScheme::kYZ, machine),
+        core::build_original_schedule(setup.params(setup.yz_grid(p)), machine),
         machine);
     const auto ca = run_scaled(
         setup, core::build_ca_schedule(setup.params(setup.yz_grid(p)),

@@ -31,8 +31,7 @@ int main() {
       m.alpha = a;
       m.beta = 1.0 / bw;
       const auto yz = perf::simulate(
-          core::build_original_schedule(setup.params(setup.yz_grid(p)),
-                                        core::DecompScheme::kYZ, m),
+          core::build_original_schedule(setup.params(setup.yz_grid(p)), m),
           m);
       const auto ca = perf::simulate(
           core::build_ca_schedule(setup.params(setup.yz_grid(p)), m), m);

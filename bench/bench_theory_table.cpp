@@ -62,10 +62,10 @@ int main() {
           return cb;
         }());
   };
-  const double v_xy = count(core::build_original_schedule(
-      setup.params(setup.xy_grid(p)), core::DecompScheme::kXY, machine));
-  const double v_yz = count(core::build_original_schedule(
-      setup.params(setup.yz_grid(p)), core::DecompScheme::kYZ, machine));
+  const double v_xy = count(
+      core::build_original_schedule(setup.params(setup.xy_grid(p)), machine));
+  const double v_yz = count(
+      core::build_original_schedule(setup.params(setup.yz_grid(p)), machine));
   const double v_ca = count(
       core::build_ca_schedule(setup.params(setup.yz_grid(p)), machine));
   std::printf(

@@ -49,12 +49,8 @@ int main(int argc, char** argv) {
     params_xy.grid = {px, p / px, 1};
 
     const Row rows[] = {
-        {"XY", core::build_original_schedule(params_xy,
-                                             core::DecompScheme::kXY,
-                                             machine)},
-        {"YZ", core::build_original_schedule(params_yz,
-                                             core::DecompScheme::kYZ,
-                                             machine)},
+        {"XY", core::build_original_schedule(params_xy, machine)},
+        {"YZ", core::build_original_schedule(params_yz, machine)},
         {"CA", core::build_ca_schedule(params_yz, machine)},
     };
     for (const auto& row : rows) {
@@ -73,10 +69,8 @@ int main(int argc, char** argv) {
   {
     auto params = base;
     params.grid = {1, pmax / 8, 8};
-    const auto yz = perf::simulate(
-        core::build_original_schedule(params, core::DecompScheme::kYZ,
-                                      machine),
-        machine);
+    const auto yz =
+        perf::simulate(core::build_original_schedule(params, machine), machine);
     const auto ca =
         perf::simulate(core::build_ca_schedule(params, machine), machine);
     std::printf("\nPer-phase breakdown of one step at p = %d:\n", pmax);
