@@ -31,13 +31,13 @@ int main() {
         perf::simulate(core::build_ca_schedule(sp, machine), machine);
     // Redundant-computation factor: CA compute / original compute.
     const double comp_ratio =
-        ca.phase_avg_seconds(core::kPhaseCompute) /
-        yz.phase_avg_seconds(core::kPhaseCompute);
+        ca.phase_avg_seconds(util::Phase::kCompute) /
+        yz.phase_avg_seconds(util::Phase::kCompute);
     std::printf("%4d | %12.2f %12.2f %9.2fx | %14.1f %13.2fx\n", M,
                 1e3 * yz.makespan, 1e3 * ca.makespan,
                 yz.makespan / ca.makespan,
-                static_cast<double>(ca.phase_total_bytes(
-                    core::kPhaseStencil)) /
+                static_cast<double>(
+                    ca.phase_total(util::Phase::kStencil).p2p_bytes) /
                     1e6,
                 comp_ratio);
   }

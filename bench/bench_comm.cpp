@@ -80,7 +80,7 @@ void BM_HaloExchangeShallow(benchmark::State& state) {
           {&s.v(), nullptr, 0, 2, 1},
           {&s.phi(), nullptr, 0, 2, 1},
           {nullptr, &s.psa(), 0, 3, 0}};
-      for (int round = 0; round < 4; ++round) ex.exchange(items, "bench");
+      for (int round = 0; round < 4; ++round) ex.exchange(items);
     });
   }
 }
@@ -102,7 +102,7 @@ void BM_HaloExchangeDeep(benchmark::State& state) {
           {&s.v(), nullptr, 0, 10, 0},
           {&s.phi(), nullptr, 0, 10, 0},
           {nullptr, &s.psa(), 0, 11, 0}};
-      for (int round = 0; round < 4; ++round) ex.exchange(items, "bench");
+      for (int round = 0; round < 4; ++round) ex.exchange(items);
     });
   }
 }

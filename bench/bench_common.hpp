@@ -96,9 +96,9 @@ inline PhaseTimes run_scaled(const EvalSetup& setup,
   if (!csv_label.empty()) maybe_dump_csv(csv_label, result);
   PhaseTimes t;
   t.collective =
-      setup.full_run(result.phase_max_seconds(core::kPhaseCollective));
-  t.stencil = setup.full_run(result.phase_max_seconds(core::kPhaseStencil));
-  t.compute = setup.full_run(result.phase_max_seconds(core::kPhaseCompute));
+      setup.full_run(result.phase_max_seconds(util::Phase::kCollective));
+  t.stencil = setup.full_run(result.phase_max_seconds(util::Phase::kStencil));
+  t.compute = setup.full_run(result.phase_max_seconds(util::Phase::kCompute));
   t.total = setup.full_run(result.makespan);
   return t;
 }

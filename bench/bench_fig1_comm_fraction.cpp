@@ -35,14 +35,9 @@ int main() {
       // Average per-rank shares (the paper's bars are per-run fractions).
       double comm = 0.0, comp = 0.0;
       for (const auto& r : result.ranks) {
-        double c = 0.0, w = 0.0;
-        for (const auto& [name, acct] : r.phases) {
-          if (name == core::kPhaseCompute) {
-            w += acct.seconds;
-          } else {
-            c += acct.seconds;
-          }
-        }
+        const double w = r.phases[util::Phase::kCompute].seconds;
+        const double c = r.phases[util::Phase::kCollective].seconds +
+                         r.phases[util::Phase::kStencil].seconds;
         comm += c;
         comp += w;
       }

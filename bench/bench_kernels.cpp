@@ -34,9 +34,9 @@ struct KernelFixture {
     opt.kind = state::InitialCondition::kPlanetaryWave;
     core.initialize(xi, opt);
     core.fill_boundaries(xi);
-    core::compute_diagnostics(core.op_context(), nullptr, nullptr, xi,
-                              xi.interior(), ws, false,
-                              comm::AllreduceAlgorithm::kAuto, "bench");
+    ops::compute_local_diag(core.op_context(), xi, xi.interior(), ws);
+    core::compute_c(core.op_context(), nullptr, nullptr, xi, xi.interior(), ws,
+                    comm::AllreduceAlgorithm::kAuto);
   }
   core::SerialCore core;
   state::State xi, tend;
@@ -105,9 +105,9 @@ BENCHMARK(BM_Smoothing);
 void BM_VerticalIntegrals(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
-    core::compute_diagnostics(f.core.op_context(), nullptr, nullptr, f.xi,
-                              f.xi.interior(), f.ws, false,
-                              comm::AllreduceAlgorithm::kAuto, "bench");
+    ops::compute_local_diag(f.core.op_context(), f.xi, f.xi.interior(), f.ws);
+    core::compute_c(f.core.op_context(), nullptr, nullptr, f.xi,
+                    f.xi.interior(), f.ws, comm::AllreduceAlgorithm::kAuto);
     benchmark::DoNotOptimize(f.ws.vert.sdot(0, 0, 0));
   }
   state.SetItemsProcessed(state.iterations() * 96 * 48 * 16);

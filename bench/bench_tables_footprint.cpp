@@ -50,9 +50,9 @@ int main() {
       xi.psa()(i, j) = 300.0 * std::sin(0.7 * i + 0.3 * j);
   core.fill_boundaries(xi);
   ops::DiagWorkspace ws(c.nx, c.ny, c.nz, core::halos_for_depth(1));
-  core::compute_diagnostics(core.op_context(), nullptr, nullptr, xi,
-                            xi.interior(), ws, false,
-                            comm::AllreduceAlgorithm::kAuto, "bench");
+  ops::compute_local_diag(core.op_context(), xi, xi.interior(), ws);
+  core::compute_c(core.op_context(), nullptr, nullptr, xi, xi.interior(), ws,
+                  comm::AllreduceAlgorithm::kAuto);
 
   ops::AdaptationTerms a(core.op_context(), xi, ws.local, ws.vert);
   ops::AdvectionTerms l(core.op_context(), xi, ws.local, ws.vert);

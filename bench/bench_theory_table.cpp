@@ -52,15 +52,8 @@ int main() {
   auto count = [&](const perf::Schedule& s) {
     const auto r = perf::simulate(s, machine);
     return static_cast<double>(
-        r.phase_total_bytes(core::kPhaseStencil) +
-        [&] {
-          std::uint64_t cb = 0;
-          for (const auto& rr : r.ranks) {
-            auto it = rr.phases.find(core::kPhaseCollective);
-            if (it != rr.phases.end()) cb += it->second.collective_bytes;
-          }
-          return cb;
-        }());
+        r.phase_total(util::Phase::kStencil).p2p_bytes +
+        r.phase_total(util::Phase::kCollective).collective_bytes);
   };
   const double v_xy = count(
       core::build_original_schedule(setup.params(setup.xy_grid(p)), machine));

@@ -118,13 +118,17 @@ RunResult run_case(const core::DycoreConfig& cfg, const BenchCase& bc,
       // regression (capacities converged during warm-up).
       const std::uint64_t allocs_after_warmup =
           ctx.stats().pool().allocations;
-      ctx.timers().clear();
+      const util::PhaseTimers& timers = ctx.timers();
+      const double exchange0 = timers.total("exchange");
+      const double exchange_wait0 = timers.total("exchange_wait");
+      const double collective0 = timers.total("collective");
       util::Timer timer;
       core.run(xi, steps);
       const double wall = timer.seconds();
-      const double exchange = ctx.timers().total("exchange");
-      const double exchange_wait = ctx.timers().total("exchange_wait");
-      const double collective = ctx.timers().total("collective");
+      const double exchange = timers.total("exchange") - exchange0;
+      const double exchange_wait =
+          timers.total("exchange_wait") - exchange_wait0;
+      const double collective = timers.total("collective") - collective0;
       state::State global =
           core::gather_global(core.op_context(), ctx, core.topology(), xi);
       const auto totals = ctx.stats().grand_totals();

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
     core.run(xi, steps);
     auto mine = core::local_diagnostics(core.op_context(), xi);
     auto global = core::reduce_diagnostics(ctx, ctx.world(), mine);
-    auto stats = ctx.stats().phase_totals("stencil");
+    auto stats = ctx.stats().phase_totals(util::Phase::kStencil);
     if (ctx.world_rank() == 0)
       std::printf("original (2 ranks) : energy %10.3e, "
                   "%llu halo messages sent per rank\n",
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     core.run(xi, steps);
     auto mine = core::local_diagnostics(core.op_context(), xi);
     auto global = core::reduce_diagnostics(ctx, ctx.world(), mine);
-    auto stats = ctx.stats().phase_totals("stencil");
+    auto stats = ctx.stats().phase_totals(util::Phase::kStencil);
     if (ctx.world_rank() == 0)
       std::printf("comm-avoiding      : energy %10.3e, "
                   "%llu halo messages sent per rank\n",

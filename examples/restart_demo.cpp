@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     const auto hdr = util::read_checkpoint(
         util::checkpoint_path(prefix, ctx.world_rank()), mesh,
         core.decomp(), xi);
-    core.refresh_halos(xi, "restart");
+    core.refresh_halos(xi);
     core::CampaignOptions opt;
     opt.steps = steps;
     opt.start_step = static_cast<int>(hdr.step);

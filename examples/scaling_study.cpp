@@ -57,9 +57,9 @@ int main(int argc, char** argv) {
       const auto r = perf::simulate(row.sched, machine);
       const double scale = static_cast<double>(steps);
       std::printf("%6d %10s | %12.0f %12.0f %12.0f | %12.0f\n", p, row.name,
-                  scale * r.phase_max_seconds(core::kPhaseCollective),
-                  scale * r.phase_max_seconds(core::kPhaseStencil),
-                  scale * r.phase_max_seconds(core::kPhaseCompute),
+                  scale * r.phase_max_seconds(util::Phase::kCollective),
+                  scale * r.phase_max_seconds(util::Phase::kStencil),
+                  scale * r.phase_max_seconds(util::Phase::kCompute),
                   scale * r.makespan);
     }
     std::printf("\n");

@@ -31,8 +31,9 @@ int main(int argc, char** argv) {
   core.initialize(xi, opt);
   core.fill_boundaries(xi);
   ops::DiagWorkspace ws(cfg.nx, cfg.ny, cfg.nz, core::halos_for_depth(1));
-  core::compute_diagnostics(ctx, nullptr, nullptr, xi, xi.interior(), ws,
-                            false, comm::AllreduceAlgorithm::kAuto, "t");
+  ops::compute_local_diag(ctx, xi, xi.interior(), ws);
+  core::compute_c(ctx, nullptr, nullptr, xi, xi.interior(), ws,
+                  comm::AllreduceAlgorithm::kAuto);
 
   const double dt = 300.0;
   const int steps = static_cast<int>(hours * 3600.0 / dt);

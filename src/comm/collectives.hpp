@@ -67,18 +67,17 @@ void apply_op(std::span<T> acc, std::span<const T> in, ReduceOp op) {
 }
 
 /// RAII marker: traffic inside a collective is attributed separately, and
-/// the outermost collective charges its wall-clock time to the context's
-/// "collective" phase via an obs span — one clock pair feeds both the
-/// bench's phase totals and the trace timeline (nested collectives, e.g.
-/// the bcast inside the linear-ordered allreduce, must not double-charge).
+/// the collective's wall-clock time goes to the context's "collective"
+/// phase via an obs span — one clock pair feeds both the rank's record and
+/// the trace timeline (a nested collective, e.g. the bcast inside the
+/// linear-ordered allreduce, pauses its parent's span instead of
+/// double-charging).
 class CollectiveScope {
  public:
   explicit CollectiveScope(Context& ctx)
-      : ctx_(ctx), outermost_(!ctx.stats().in_collective()) {
+      : ctx_(ctx), span_(ctx.tracer().phase_span(util::Phase::kCollective)) {
     ctx_.stats().record_collective_call();
     ctx_.stats().enter_collective();
-    if (outermost_)
-      span_ = ctx_.tracer().phase_span("collective", "comm", "collective");
   }
   ~CollectiveScope() { ctx_.stats().leave_collective(); }
   CollectiveScope(const CollectiveScope&) = delete;
@@ -86,7 +85,6 @@ class CollectiveScope {
 
  private:
   Context& ctx_;
-  bool outermost_;
   obs::Span span_;
 };
 

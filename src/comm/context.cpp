@@ -25,7 +25,7 @@ Context::Context(World* world, int world_rank)
   std::iota(all.begin(), all.end(), 0);
   world_comm_ = Communicator(/*id=*/0, std::move(all), world_rank);
   const RunOptions& opts = world_->options();
-  tracer_.configure(opts.obs, world_rank_, &timers_, opts.trace_sink,
+  tracer_.configure(opts.obs, world_rank_, &timers(), opts.trace_sink,
                     opts.trace_pid);
   // The mailbox's defensive half (retransmit requests, checksum failures,
   // watchdog verdicts) reports incidents through this rank's tracer; all
@@ -68,8 +68,9 @@ void Context::send(const Communicator& comm, int dst, int tag,
   // decide what happens to this message on the "wire".
   msg.seq = ++send_seq_[{dst_world, msg.comm_id, tag}];
   msg.checksum = payload_checksum(msg.payload);
-  FaultPlan::Injection inj =
-      plan->decide(stats_.phase(), world_rank_, dst_world, tag, msg.seq);
+  FaultPlan::Injection inj = plan->decide(util::phase_name(stats_.phase()),
+                                          world_rank_, dst_world, tag,
+                                          msg.seq);
   if (inj.corrupt_bytes > 0 && !msg.payload.empty()) {
     // Flip bytes at seed-determined positions AFTER the checksum was
     // computed, so verification at the receiver fails.
@@ -117,7 +118,9 @@ void Context::recv(const Communicator& comm, int src, int tag,
   Message msg = mailbox_of(world_rank_).receive(comm.id(), world_src, tag);
   if (msg.payload.size() != data.size())
     throw std::runtime_error("recv: message size mismatch");
-  std::memcpy(data.data(), msg.payload.data(), data.size());
+  // A zero-byte message may come with null buffers, which memcpy forbids.
+  if (!data.empty())
+    std::memcpy(data.data(), msg.payload.data(), data.size());
 }
 
 Request Context::isend(const Communicator& comm, int dst, int tag,

@@ -104,20 +104,21 @@ class Context {
   /// communicator (the rank opts out) but the call is still collective.
   Communicator split(const Communicator& parent, int color, int key);
 
+  /// This rank's traffic counters: sends and collective calls go to the
+  /// record under the sticky phase (stencil, collective, service, ...).
   CommStats& stats() { return stats_; }
   const CommStats& stats() const { return stats_; }
 
-  /// Wall-clock phase attribution of this rank's communication: the halo
-  /// exchange engine and the collectives charge their real elapsed time
-  /// here ("exchange" / "collective"), which the wall-clock bench reads
-  /// alongside the message counters.
-  util::PhaseTimers& timers() { return timers_; }
-  const util::PhaseTimers& timers() const { return timers_; }
+  /// This rank's record, read for seconds: every phase span the rank
+  /// opens (step, operators, exchange, exchange_wait, collective) charges
+  /// its exclusive time here.  The same record stats() counts traffic in.
+  util::PhaseTimers& timers() { return stats_.record(); }
+  const util::PhaseTimers& timers() const { return stats_.record(); }
 
   /// This rank's observability tracer: spans for the phase/step timeline,
   /// instants for comm incidents, and the flight-recorder ring dumped on
-  /// rank death.  Configured from RunOptions::obs; phase_span() feeds
-  /// timers() so bench phase totals and traces share one clock.
+  /// rank death.  Configured from RunOptions::obs; phase_span() charges
+  /// timers(), so the record and the trace share one clock.
   obs::Tracer& tracer() { return tracer_; }
   const obs::Tracer& tracer() const { return tracer_; }
 
@@ -137,7 +138,6 @@ class Context {
   int world_rank_ = -1;
   Communicator world_comm_;
   CommStats stats_;
-  util::PhaseTimers timers_;
   obs::Tracer tracer_;
   /// Next sequence number per (dst world rank, comm, tag); only used (and
   /// only grows) while a FaultPlan is active.

@@ -24,7 +24,7 @@ void CommStats::leave_collective() {
 }
 
 void CommStats::record_send(std::size_t bytes) {
-  PhaseStats& s = stats_[phase_];
+  PhaseStats& s = record_[phase_];
   if (in_collective()) {
     s.collective_bytes += bytes;
   } else {
@@ -34,7 +34,7 @@ void CommStats::record_send(std::size_t bytes) {
 }
 
 void CommStats::record_collective_call() {
-  ++stats_[phase_].collective_calls;
+  ++record_[phase_].collective_calls;
 }
 
 void CommStats::record_pool_acquire(bool grew) {
@@ -42,22 +42,6 @@ void CommStats::record_pool_acquire(bool grew) {
     ++pool_.allocations;
   else
     ++pool_.reuses;
-}
-
-PhaseStats CommStats::phase_totals(const std::string& phase) const {
-  auto it = stats_.find(phase);
-  return it == stats_.end() ? PhaseStats{} : it->second;
-}
-
-PhaseStats CommStats::grand_totals() const {
-  PhaseStats total;
-  for (const auto& [name, s] : stats_) total += s;
-  return total;
-}
-
-void CommStats::clear() {
-  stats_.clear();
-  pool_ = PoolStats{};
 }
 
 }  // namespace ca::comm

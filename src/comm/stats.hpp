@@ -1,30 +1,20 @@
-// Per-rank communication statistics, attributed to named phases.  The
-// schedule-level performance model is validated against these counters
-// (tests/schedule_match_test.cpp): the event simulator must predict exactly
-// the message counts and byte volumes the functional runtime incurs.
+// Per-rank communication statistics, charged to the rank's phase record
+// (util/timer.hpp).  The schedule-level performance model is validated
+// against these counters (tests/schedule_match_test.cpp): the event
+// simulator must predict exactly the message counts and byte volumes the
+// functional runtime incurs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
+
+#include "util/timer.hpp"
 
 namespace ca::comm {
 
-struct PhaseStats {
-  std::uint64_t p2p_messages = 0;
-  std::uint64_t p2p_bytes = 0;
-  std::uint64_t collective_calls = 0;
-  /// Bytes this rank sent while inside collective algorithms.
-  std::uint64_t collective_bytes = 0;
-
-  PhaseStats& operator+=(const PhaseStats& o) {
-    p2p_messages += o.p2p_messages;
-    p2p_bytes += o.p2p_bytes;
-    collective_calls += o.collective_calls;
-    collective_bytes += o.collective_bytes;
-    return *this;
-  }
-};
+/// The record's counter struct under the name perfbench reads
+/// (`ctx.stats().grand_totals()`).
+using PhaseStats = util::PhaseStats;
 
 /// Snapshot of the fault-injection layer's event counters (see
 /// comm/fault.hpp).  `injected` events were placed by the FaultPlan,
@@ -66,10 +56,13 @@ struct PoolStats {
   std::uint64_t reuses = 0;
 };
 
+/// The traffic side of a rank's record: the sticky phase sends are
+/// charged to, collective nesting and the exchange pools.  The record
+/// itself also holds the seconds the rank's spans charge.
 class CommStats {
  public:
-  void set_phase(std::string phase) { phase_ = std::move(phase); }
-  const std::string& phase() const { return phase_; }
+  void set_phase(util::Phase phase) { phase_ = phase; }
+  util::Phase phase() const { return phase_; }
 
   /// Marks subsequent sends as part of a collective algorithm.
   void enter_collective();
@@ -83,14 +76,18 @@ class CommStats {
   void record_pool_acquire(bool grew);
   const PoolStats& pool() const { return pool_; }
 
-  PhaseStats phase_totals(const std::string& phase) const;
-  PhaseStats grand_totals() const;
-  void clear();
+  const PhaseStats& phase_totals(util::Phase phase) const {
+    return record_[phase];
+  }
+  PhaseStats grand_totals() const { return record_.sum(); }
+
+  util::PhaseRecord& record() { return record_; }
+  const util::PhaseRecord& record() const { return record_; }
 
  private:
-  std::string phase_ = "default";
+  util::Phase phase_ = util::Phase::kDefault;
   int collective_depth_ = 0;
-  std::map<std::string, PhaseStats> stats_;
+  util::PhaseRecord record_;
   PoolStats pool_;
 };
 

@@ -1,10 +1,8 @@
 #include "core/ca_core.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
-
-#include "ops/adaptation.hpp"
-#include "ops/advection.hpp"
 
 namespace ca::core {
 CACore::CACore(const DycoreConfig& config, comm::Context& ctx,
@@ -51,33 +49,9 @@ void CACore::initialize(state::State& xi,
   step_count_ = 0;
 }
 
-void CACore::eval_tendency(state::State& input, const mesh::Box& window,
-                           const PlanEntry& update) {
-  ops::compute_local_diag(opctx_, input, window, ws_);
-  if (update.fresh_c) {
-    compute_c(opctx_, comm_ctx_, &topo_.line_z, input, update.c_window, ws_,
-              config_.z_allreduce, "collective");
-    have_stale_c_ = true;
-  }
-  // Stale evaluations reuse ws_.vert as-is: the last C's products are
-  // globally consistent fields that traveled with the deep halo exchange
-  // (paper eq. 13's C(psi^{i-2}) replacement).
-  if (update.op == Operator::kAdaptation) {
-    ops::apply_adaptation(opctx_, input, ws_.local, ws_.vert, tend_,
-                          window);
-  } else {
-    ops::apply_advection(opctx_, input, ws_.local, ws_.vert, tend_,
-                         window);
-  }
-  filter_.apply_local(opctx_, tend_, window);
-}
-
 void CACore::execute(const StepPlan& plan, state::State& xi) {
-  PlanTarget t{opctx_,   *comm_ctx_,       exchanger_,        ws_,
-               xi,       eta_,             mid_,              tend_,
-               &pre_,    config_.dt_adapt, config_.dt_advect, {}};
-  t.tendency = [this](state::State& in, const mesh::Box& w,
-                      const PlanEntry& e) { eval_tendency(in, w, e); };
+  PlanTarget t{config_, opctx_, *comm_ctx_, topo_, exchanger_, filter_,
+               ws_,     xi,     eta_,       mid_,  tend_,      &pre_};
   run_plan(plan, t);
 }
 
@@ -85,10 +59,14 @@ void CACore::step(state::State& xi) {
   // Step boundary of the fault-injection layer: a scheduled kStall fault
   // pauses this rank here, before the step's exchanges.
   comm_ctx_->notify_step();
-  obs::Span step_span = comm_ctx_->tracer().span("step", "core");
-  execute(make_ca_plan(decomp_, config_.M, options_, step_count_ > 0,
-                       have_stale_c_),
-          xi);
+  obs::Span step_span = comm_ctx_->tracer().phase_span(util::Phase::kStep);
+  const StepPlan plan = make_ca_plan(decomp_, config_.M, options_,
+                                     step_count_ > 0, have_stale_c_);
+  // A fresh C leaves the products later stale evaluations reuse.
+  have_stale_c_ = have_stale_c_ ||
+                  std::any_of(plan.begin(), plan.end(),
+                              [](const PlanEntry& e) { return e.fresh_c; });
+  execute(plan, xi);
   ++step_count_;
 }
 
@@ -97,7 +75,7 @@ void CACore::run(state::State& xi, int n) {
   finalize(xi);
 }
 
-void CACore::refresh_halos(state::State& s, const std::string& /*phase*/) {
+void CACore::refresh_halos(state::State& s) {
   fill_boundaries(opctx_, s);
 }
 

@@ -14,8 +14,6 @@
 // Total: 2 neighbor communications per step instead of 3M + 4.
 #pragma once
 
-#include <string>
-
 #include "comm/topology.hpp"
 #include "core/dycore_config.hpp"
 #include "core/exchange.hpp"
@@ -64,9 +62,6 @@ class CACore {
   const HaloExchanger& exchanger() const { return exchanger_; }
   const ops::FourierFilter& filter() const { return filter_; }
 
-  /// Halo depth of the adaptation exchange (y direction).
-  int adaptation_depth() const { return 3 * config_.M + 1; }
-
   /// Diagnostic workspace (read-only; exposed for tests).
   const ops::DiagWorkspace& workspace() const { return ws_; }
 
@@ -76,9 +71,8 @@ class CACore {
 
   /// Restart halo refresh (same hook the runner probes on OriginalCore).
   /// The CA step's own deep exchanges re-send every neighbor halo row it
-  /// reads, so a restart only needs the physical/periodic boundary fill;
-  /// `phase` is accepted for signature parity and ignored.
-  void refresh_halos(state::State& s, const std::string& phase);
+  /// reads, so a restart only needs the physical/periodic boundary fill.
+  void refresh_halos(state::State& s);
 
   // --- checkpoint v3 core-carry (see util/checkpoint.hpp) -------------
   // Algorithm 2's whole point is cross-step state: the final smoothing of
@@ -119,12 +113,6 @@ class CACore {
  private:
   /// Runs `plan` (make_ca_plan / make_ca_finalize_plan) on xi.
   void execute(const StepPlan& plan, state::State& xi);
-  /// Evaluates the filtered tendency of update.op at `input` on `window`
-  /// into tend_.  Fresh C runs the two z-line collectives over
-  /// update.c_window's face and records the column anchors; stale C
-  /// reuses the last products (eq. 13).
-  void eval_tendency(state::State& input, const mesh::Box& window,
-                     const PlanEntry& update);
 
   DycoreConfig config_;
   CAOptions options_;

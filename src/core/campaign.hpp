@@ -147,7 +147,7 @@ int run_campaign(Core& core, comm::Context* comm_ctx, state::State& xi,
       obs::Span hs;
       if (comm_ctx != nullptr) {
         hs = comm_ctx->tracer().span("health_check", "core");
-        comm_ctx->stats().set_phase("health");
+        comm_ctx->stats().set_phase(util::Phase::kHealth);
       }
       GlobalDiag d = local_diagnostics(core.op_context(), xi);
       if (comm_ctx != nullptr)
@@ -189,7 +189,7 @@ int run_campaign(Core& core, comm::Context* comm_ctx, state::State& xi,
       double want = may_yield && options.should_yield() ? 1.0 : 0.0;
       if (comm_ctx != nullptr && comm_ctx->world().size() > 1) {
         double agreed = 0.0;
-        comm_ctx->stats().set_phase("service");
+        comm_ctx->stats().set_phase(util::Phase::kService);
         comm::allreduce<double>(*comm_ctx, comm_ctx->world(),
                                 std::span<const double>(&want, 1),
                                 std::span<double>(&agreed, 1),

@@ -168,15 +168,14 @@ void HaloExchanger::post(int nbr, int dx, int dy, int dz) {
   }
 }
 
-void HaloExchanger::begin(const std::vector<ExchangeItem>& items,
-                          const std::string& phase) {
+void HaloExchanger::begin(const std::vector<ExchangeItem>& items) {
   // Leftover in-flight receives (a begin() whose finish() never ran) must
   // drain before re-posting: the new round reuses the same (neighbor, tag)
   // triples and FIFO matching would pair old messages with new requests.
   if (!recvs_.empty()) finish();
-  ctx_->stats().set_phase(phase);
+  ctx_->stats().set_phase(util::Phase::kStencil);
   obs::Span span =
-      ctx_->tracer().phase_span("exchange_post", "exchange", "exchange");
+      ctx_->tracer().phase_span(util::Phase::kExchange, "exchange_post");
   items_ = items;
   send_cursor_ = 0;
   recv_cursor_ = 0;
@@ -205,9 +204,8 @@ void HaloExchanger::complete(PendingRecv& pr) {
   // Both windows are obs spans, so the trace timeline shows the same
   // seconds the bench's phase totals report.
   {
-    obs::Span wait_span = ctx_->tracer().phase_span("exchange_wait",
-                                                    "exchange",
-                                                    "exchange_wait");
+    obs::Span wait_span =
+        ctx_->tracer().phase_span(util::Phase::kExchangeWait);
     try {
       ctx_->wait(pr.request);
     } catch (const comm::TimeoutError& e) {
@@ -218,7 +216,7 @@ void HaloExchanger::complete(PendingRecv& pr) {
     }
   }
   obs::Span unpack_span =
-      ctx_->tracer().phase_span("exchange_unpack", "exchange", "exchange");
+      ctx_->tracer().phase_span(util::Phase::kExchange, "exchange_unpack");
   const ExchangeItem& item = items_[static_cast<std::size_t>(pr.item)];
   if (item.f3 != nullptr) {
     mesh::unpack_box(*item.f3, pr.box, pr.buffer);
@@ -235,16 +233,15 @@ void HaloExchanger::finish() {
   recvs_.clear();
 }
 
-void HaloExchanger::exchange(const std::vector<ExchangeItem>& items,
-                             const std::string& phase) {
-  begin(items, phase);
+void HaloExchanger::exchange(const std::vector<ExchangeItem>& items) {
+  begin(items);
   finish();
 }
 
 void compute_c(const ops::OpContext& ctx, comm::Context* comm_ctx,
                const comm::Communicator* line_z, const state::State& xi,
                const mesh::Box& window, ops::DiagWorkspace& ws,
-               comm::AllreduceAlgorithm alg, const std::string& phase) {
+               comm::AllreduceAlgorithm alg) {
   const bool distributed = line_z != nullptr && line_z->size() > 1;
   if (!distributed) {
     ops::compute_vert_diag_serial(ctx, xi, window, ws);
@@ -275,7 +272,7 @@ void compute_c(const ops::OpContext& ctx, comm::Context* comm_ctx,
   if (comm_ctx == nullptr)
     throw std::invalid_argument(
         "compute_c: distributed path needs a comm context");
-  comm_ctx->stats().set_phase(phase);
+  comm_ctx->stats().set_phase(util::Phase::kCollective);
   comm::allreduce<double>(*comm_ctx, *line_z, own, total,
                           comm::ReduceOp::kSum, alg);
   comm::exscan<double>(*comm_ctx, *line_z, own, prefix,
@@ -292,17 +289,6 @@ void compute_c(const ops::OpContext& ctx, comm::Context* comm_ctx,
   }
   ops::column_finish(ctx, xi, ring, ws.local, ws.base_div, ws.total_div,
                      ws.base_phi, ws.own_phi, ws.total_phi, ws.vert);
-}
-
-void compute_diagnostics(const ops::OpContext& ctx, comm::Context* comm_ctx,
-                         const comm::Communicator* line_z,
-                         const state::State& xi, const mesh::Box& window,
-                         ops::DiagWorkspace& ws, bool stale_vert,
-                         comm::AllreduceAlgorithm alg,
-                         const std::string& phase) {
-  ops::compute_local_diag(ctx, xi, window, ws);
-  // A stale evaluation keeps the last C's products in ws.vert.
-  if (!stale_vert) compute_c(ctx, comm_ctx, line_z, xi, window, ws, alg, phase);
 }
 
 state::State gather_global(const ops::OpContext& ctx, comm::Context& cc,

@@ -8,7 +8,6 @@
 
 #include <array>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "comm/collectives.hpp"
@@ -73,18 +72,16 @@ class HaloExchanger {
   HaloExchanger(comm::Context& ctx, const comm::CartTopology& topo)
       : ctx_(&ctx), topo_(&topo) {}
 
-  /// Posts receives and sends for all items; returns immediately.  If a
-  /// previous begin() still has receives in flight they are drained first
-  /// (re-posting onto the same (neighbor, tag) triples would break FIFO
-  /// matching).
-  void begin(const std::vector<ExchangeItem>& items,
-             const std::string& phase);
+  /// Posts receives and sends for all items, charging the traffic to the
+  /// stencil phase; returns immediately.  If a previous begin() still has
+  /// receives in flight they are drained first (re-posting onto the same
+  /// (neighbor, tag) triples would break FIFO matching).
+  void begin(const std::vector<ExchangeItem>& items);
   /// Waits for every pending receive and unpacks it into the halos.  A
   /// second finish() is a no-op.
   void finish();
   /// begin + finish.
-  void exchange(const std::vector<ExchangeItem>& items,
-                const std::string& phase);
+  void exchange(const std::vector<ExchangeItem>& items);
 
   /// Messages sent by the last begin() (for schedule validation).
   std::size_t last_message_count() const { return last_message_count_; }
@@ -122,26 +119,13 @@ class HaloExchanger {
 };
 
 /// The operator C on `window`'s face ring into ws.vert: column partials,
-/// the two z-line collectives (allreduce + exscan, charged to `phase`)
-/// when line_z has more than one rank, and the column finish.  The
-/// collectives pack into ws's reused column buffers.
+/// the two z-line collectives (allreduce + exscan, charged to the
+/// collective phase) when line_z has more than one rank, and the column
+/// finish.  The collectives pack into ws's reused column buffers.
 void compute_c(const ops::OpContext& ctx, comm::Context* comm_ctx,
                const comm::Communicator* line_z, const state::State& xi,
                const mesh::Box& window, ops::DiagWorkspace& ws,
-               comm::AllreduceAlgorithm alg, const std::string& phase);
-
-/// Computes the full diagnostics (LocalDiag + VertDiag) for an update
-/// window, inserting the two z-line collectives when line_z has more than
-/// one rank.  `stale_vert == true` refreshes only the local part and
-/// leaves ws.vert untouched — the previous C products are reused (the
-/// paper's C(psi^{i-2}) replacement, eq. 13), which is also how the
-/// advection process obtains its sigma-dot without communication.
-void compute_diagnostics(const ops::OpContext& ctx, comm::Context* comm_ctx,
-                         const comm::Communicator* line_z,
-                         const state::State& xi, const mesh::Box& window,
-                         ops::DiagWorkspace& ws, bool stale_vert,
-                         comm::AllreduceAlgorithm alg,
-                         const std::string& phase);
+               comm::AllreduceAlgorithm alg);
 
 /// Gathers every rank's owned interior into one full-domain state on rank
 /// 0 of the topology's communicator (returned state is empty elsewhere).

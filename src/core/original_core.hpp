@@ -43,7 +43,6 @@ class OriginalCore {
     opctx_.phi_surface = phi_surface;
   }
   const comm::CartTopology& topology() const { return topo_; }
-  DecompScheme scheme() const { return scheme_; }
   /// Halo-exchange engine and polar filter (read-only; exposed so tests
   /// and the wall-clock bench can inspect message counts and workspace
   /// reuse counters).
@@ -51,17 +50,11 @@ class OriginalCore {
   const ops::FourierFilter& filter() const { return filter_; }
 
   /// Exchange + physical boundary fill of every halo this core uses.
-  void refresh_halos(state::State& s, const std::string& phase);
+  void refresh_halos(state::State& s);
 
  private:
-  /// tend = F~ op(psi) on `window` (halos already exchanged); fresh C
-  /// runs the z-line collectives, stale C re-derives sigma-dot from the
-  /// last C's column anchors without communication.
-  void tendency(state::State& psi, const mesh::Box& window, Operator op,
-                bool fresh_c, state::State& tend);
 
   DycoreConfig config_;
-  DecompScheme scheme_;
   comm::Context* comm_ctx_;
   mesh::LatLonMesh mesh_;
   mesh::SigmaLevels levels_;

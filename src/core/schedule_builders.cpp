@@ -90,14 +90,14 @@ class Lowering {
                   if (!participates(f, dx, dy, dz)) continue;
                   s_.add_isend(rank, nbr,
                                send_volume(f, n, dx, dy, dz) * sizeof(double),
-                               kPhaseStencil);
-                  s_.add_irecv(rank, nbr, kPhaseStencil);
+                               util::Phase::kStencil);
+                  s_.add_irecv(rank, nbr, util::Phase::kStencil);
                   posted = true;
                 }
               }
           break;
         case PlanEntry::Kind::kExchangeFinish:
-          if (posted) s_.add_waitall(rank, kPhaseStencil);
+          if (posted) s_.add_waitall(rank, util::Phase::kStencil);
           posted = false;
           break;
         case PlanEntry::Kind::kUpdate: {
@@ -107,7 +107,7 @@ class Lowering {
                                    ? p_.flops_adapt + p_.flops_column
                                    : p_.flops_advect;
           s_.add_compute(rank, flops * static_cast<double>(vol),
-                         kPhaseCompute);
+                         util::Phase::kCompute);
           if (e.fresh_c) emit_c_collectives(rank, d, e.c_window);
           // A split stage's filter is priced once, with its remainder.
           if (!e.inner) emit_filter(rank, d);
@@ -116,7 +116,8 @@ class Lowering {
         case PlanEntry::Kind::kSmooth:
           // The split smoothing is priced once, at S1.
           if (e.smoothing != Smoothing::kLater)
-            s_.add_compute(rank, p_.flops_smooth * block, kPhaseCompute);
+            s_.add_compute(rank, p_.flops_smooth * block,
+                           util::Phase::kCompute);
           break;
       }
     }
@@ -135,7 +136,7 @@ class Lowering {
     s_.add_collective(rank, group,
                       perf::allreduce_time(m_, p_.grid.pz, bytes),
                       perf::ring_allreduce_bytes(p_.grid.pz, bytes),
-                      kPhaseCollective);
+                      util::Phase::kCollective);
     // Exclusive scan: a (pz-1)-stage chain; every rank but the last sends
     // its vector once.
     const double exscan_cost =
@@ -143,7 +144,7 @@ class Lowering {
                             m_.beta * static_cast<double>(bytes));
     s_.add_collective(rank, group, exscan_cost,
                       d.coords()[2] == p_.grid.pz - 1 ? 0 : bytes,
-                      kPhaseCollective);
+                      util::Phase::kCollective);
   }
 
   /// The Fourier filter of one update over the rank's active rows
@@ -176,9 +177,9 @@ class Lowering {
       const int group = xgroups_[static_cast<std::size_t>(rank)];
       s_.add_collective(rank, group, cost,
                         static_cast<std::size_t>(rounds) * local_bytes,
-                        kPhaseCollective);
+                        util::Phase::kCollective);
     }
-    s_.add_compute(rank, fft_flops(p_.mesh.nx, lines), kPhaseCompute);
+    s_.add_compute(rank, fft_flops(p_.mesh.nx, lines), util::Phase::kCompute);
   }
 
   Schedule& s_;

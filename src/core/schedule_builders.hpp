@@ -34,11 +34,6 @@ struct ScheduleParams {
   CAOptions ca;
 };
 
-/// Phase labels used by the builders (matched by the figure benches).
-inline constexpr const char* kPhaseStencil = "stencil";
-inline constexpr const char* kPhaseCollective = "collective";
-inline constexpr const char* kPhaseCompute = "compute";
-
 /// The original algorithm on params.grid.  The grid alone decides the
 /// scheme: C's z-line collectives run when pz > 1, the distributed Fourier
 /// filter when px > 1 (X-Y, or 3-D with both).

@@ -6,6 +6,9 @@
 #include "ops/smoothing.hpp"
 
 namespace ca::core {
+
+using util::Phase;
+
 SerialCore::SerialCore(const DycoreConfig& config, comm::Context* comm_ctx)
     : config_(config),
       comm_ctx_(comm_ctx),
@@ -36,65 +39,85 @@ void SerialCore::fill_boundaries(state::State& s) const {
                             s.u().halo().z);
 }
 
-void SerialCore::adaptation_tendency(state::State& xi, state::State& tend) {
+void SerialCore::tendency(state::State& xi, state::State& tend,
+                          bool adaptation) {
   const mesh::Box window = xi.interior();
-  fill_boundaries(xi);
-  compute_diagnostics(opctx_, nullptr, nullptr, xi, window, ws_,
-                      /*stale_vert=*/false, config_.z_allreduce, "serial");
-  ops::apply_adaptation(opctx_, xi, ws_.local, ws_.vert, tend, window);
-  filter_.apply_local(opctx_, tend, window);
+  obs::Tracer& tr = tracer();
+  tr.timed(Phase::kBoundaryFill, [&] { fill_boundaries(xi); });
+  tr.timed(Phase::kLocalDiag,
+           [&] { ops::compute_local_diag(opctx_, xi, window, ws_); });
+  if (adaptation) {
+    tr.timed(Phase::kColumn, [&] {
+      compute_c(opctx_, nullptr, nullptr, xi, window, ws_,
+                config_.z_allreduce);
+    });
+    tr.timed(Phase::kAdaptation, [&] {
+      ops::apply_adaptation(opctx_, xi, ws_.local, ws_.vert, tend, window);
+    });
+  } else {
+    // L~ is a pure stencil operator (paper Section 3): pes/pfac refresh
+    // locally, sigma-dot is the field the adaptation process's C produced.
+    tr.timed(Phase::kAdvection, [&] {
+      ops::apply_advection(opctx_, xi, ws_.local, ws_.vert, tend, window);
+    });
+  }
+  tr.timed(Phase::kFilter, [&] { filter_.apply_local(opctx_, tend, window); });
+}
+
+void SerialCore::adaptation_tendency(state::State& xi, state::State& tend) {
+  tendency(xi, tend, /*adaptation=*/true);
 }
 
 void SerialCore::advection_tendency(state::State& xi, state::State& tend) {
-  const mesh::Box window = xi.interior();
-  // L~ is a pure stencil operator (paper Section 3): pes/pfac refresh
-  // locally, sigma-dot is the field the adaptation process's C produced.
-  fill_boundaries(xi);
-  compute_diagnostics(opctx_, nullptr, nullptr, xi, window, ws_,
-                      /*stale_vert=*/true, config_.z_allreduce, "serial");
-  ops::apply_advection(opctx_, xi, ws_.local, ws_.vert, tend, window);
-  filter_.apply_local(opctx_, tend, window);
+  tendency(xi, tend, /*adaptation=*/false);
 }
 
 void SerialCore::step(state::State& xi) {
-  obs::Span step_span;
-  if (comm_ctx_ != nullptr) {
-    comm_ctx_->notify_step();
-    step_span = comm_ctx_->tracer().span("step", "core");
-  }
+  if (comm_ctx_ != nullptr) comm_ctx_->notify_step();
+  obs::Tracer& tr = tracer();
+  obs::Span step_span = tr.phase_span(Phase::kStep);
   const mesh::Box interior = xi.interior();
   const double dt1 = config_.dt_adapt;
   const double dt2 = config_.dt_advect;
+  // out = xi + dt * tend_, and mid_ = (xi + eta_) / 2.
+  auto update = [&](state::State& out, double dt) {
+    tr.timed(Phase::kUpdate, [&] { out.add_scaled(xi, dt, tend_, interior); });
+  };
+  auto midpoint = [&] {
+    tr.timed(Phase::kUpdate, [&] { mid_.average(xi, eta_, interior); });
+  };
 
   // Adaptation process: M nonlinear iterations of 3 internal updates.
   for (int iter = 0; iter < config_.M; ++iter) {
     adaptation_tendency(xi, tend_);
-    eta_.add_scaled(xi, dt1, tend_, interior);  // eta1
+    update(eta_, dt1);  // eta1
 
     adaptation_tendency(eta_, tend_);
-    eta_.add_scaled(xi, dt1, tend_, interior);  // eta2
+    update(eta_, dt1);  // eta2
 
-    mid_.average(xi, eta_, interior);
+    midpoint();
     adaptation_tendency(mid_, tend_);
-    xi.add_scaled(xi, dt1, tend_, interior);  // psi^i = eta3
+    update(xi, dt1);  // psi^i = eta3
   }
 
   // Advection process: one nonlinear iteration.
   advection_tendency(xi, tend_);
-  eta_.add_scaled(xi, dt2, tend_, interior);  // zeta1
+  update(eta_, dt2);  // zeta1
 
   advection_tendency(eta_, tend_);
-  eta_.add_scaled(xi, dt2, tend_, interior);  // zeta2
+  update(eta_, dt2);  // zeta2
 
-  mid_.average(xi, eta_, interior);
+  midpoint();
   advection_tendency(mid_, tend_);
-  xi.add_scaled(xi, dt2, tend_, interior);  // zeta3
+  update(xi, dt2);  // zeta3
 
   // Smoothing.
-  fill_boundaries(xi);
-  ops::apply_smoothing(opctx_, xi, eta_, interior);
-  xi.assign(eta_, interior);
-  fill_boundaries(xi);
+  tr.timed(Phase::kBoundaryFill, [&] { fill_boundaries(xi); });
+  tr.timed(Phase::kSmoothing, [&] {
+    ops::apply_smoothing(opctx_, xi, eta_, interior);
+    xi.assign(eta_, interior);
+  });
+  tr.timed(Phase::kBoundaryFill, [&] { fill_boundaries(xi); });
 }
 
 void SerialCore::run(state::State& xi, int n) {

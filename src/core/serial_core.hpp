@@ -5,7 +5,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "comm/context.hpp"
 #include "core/dycore_config.hpp"
@@ -58,9 +57,7 @@ class SerialCore {
   void fill_boundaries(state::State& s) const;
   /// Restart hook shared with the distributed cores: with one block the
   /// halos are all physical boundaries, so this is fill_boundaries.
-  void refresh_halos(state::State& s, const std::string& /*phase*/) {
-    fill_boundaries(s);
-  }
+  void refresh_halos(state::State& s) { fill_boundaries(s); }
 
   /// tend = F~(C + A-hat)(xi), the filtered adaptation tendency
   /// (boundaries of xi are filled here).  Exposed for tests.
@@ -69,6 +66,15 @@ class SerialCore {
   void advection_tendency(state::State& xi, state::State& tend);
 
  private:
+  /// The filtered tendency of A (with a fresh C) or L (reading the last
+  /// C's sigma-dot), each operator under its phase span.
+  void tendency(state::State& xi, state::State& tend, bool adaptation);
+  /// The comm context's tracer; without one, an unarmed tracer whose
+  /// spans time nothing.
+  obs::Tracer& tracer() {
+    return comm_ctx_ != nullptr ? comm_ctx_->tracer() : idle_tracer_;
+  }
+
   DycoreConfig config_;
   comm::Context* comm_ctx_ = nullptr;
   mesh::LatLonMesh mesh_;
@@ -80,6 +86,7 @@ class SerialCore {
   ops::DiagWorkspace ws_;
   // Scratch states of the 3-update integrator.
   state::State tend_, eta_, mid_;
+  obs::Tracer idle_tracer_;
 };
 
 }  // namespace ca::core

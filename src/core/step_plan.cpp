@@ -2,10 +2,15 @@
 
 #include <algorithm>
 
+#include "ops/adaptation.hpp"
+#include "ops/advection.hpp"
 #include "ops/smoothing.hpp"
 #include "ops/subrange.hpp"
 
 namespace ca::core {
+
+using util::Phase;
+
 namespace {
 
 PlanEntry begin(Slot state, std::vector<PlanItem> items) {
@@ -94,6 +99,38 @@ void carry_psa(const state::State& base, state::State& out) {
 bool is_c_product(FieldId f) {
   return f == FieldId::kDivsum || f == FieldId::kSdot || f == FieldId::kW ||
          f == FieldId::kPhiGeo;
+}
+
+/// tend = F op(in) on `window`: the local diagnostics, C on e.c_window
+/// when fresh, the operator, then the filter (local when the rank owns
+/// full x lines, distributed along line_x otherwise).  Stale evaluations
+/// reuse ws.vert as-is: the last C's products are globally consistent
+/// fields that traveled with the exchange (eq. 13's C(psi^{i-2})).
+void evaluate_tendency(PlanTarget& t, state::State& in,
+                       const mesh::Box& window, const PlanEntry& e) {
+  obs::Tracer& tr = t.comm.tracer();
+  tr.timed(Phase::kLocalDiag,
+           [&] { ops::compute_local_diag(t.op, in, window, t.ws); });
+  if (e.fresh_c)
+    tr.timed(Phase::kColumn, [&] {
+      compute_c(t.op, &t.comm, &t.topo.line_z, in, e.c_window, t.ws,
+                t.config.z_allreduce);
+    });
+  if (e.op == Operator::kAdaptation)
+    tr.timed(Phase::kAdaptation, [&] {
+      ops::apply_adaptation(t.op, in, t.ws.local, t.ws.vert, t.tend, window);
+    });
+  else
+    tr.timed(Phase::kAdvection, [&] {
+      ops::apply_advection(t.op, in, t.ws.local, t.ws.vert, t.tend, window);
+    });
+  obs::Span span = tr.phase_span(Phase::kFilter);
+  if (t.op.decomp->owns_full_x()) {
+    t.filter.apply_local(t.op, t.tend, window);
+  } else {
+    t.comm.stats().set_phase(Phase::kCollective);
+    t.filter.apply_distributed(t.op, t.comm, t.topo.line_x, t.tend, window);
+  }
 }
 
 }  // namespace
@@ -276,9 +313,17 @@ void run_plan(const StepPlan& plan, PlanTarget& t) {
   const mesh::DomainDecomp& d = *t.op.decomp;
   const bool split_north = !d.at_north_pole();
   const bool split_south = !d.at_south_pole();
+  obs::Tracer& tr = t.comm.tracer();
   state::State* slots[] = {&t.xi, &t.eta, &t.mid};
   state::State* exchanged = nullptr;
   bool carries_c = false;
+  // Refreshes the physical boundaries of `s`; `psa` first carries the
+  // base state's p'_sa along (the advection leaves it unchanged).
+  auto fill = [&](state::State& s, bool psa) {
+    obs::Span span = tr.phase_span(Phase::kBoundaryFill);
+    if (psa) carry_psa(t.xi, s);
+    fill_boundaries(t.op, s);
+  };
 
   for (const PlanEntry& e : plan) {
     switch (e.kind) {
@@ -288,64 +333,63 @@ void run_plan(const StepPlan& plan, PlanTarget& t) {
                                 [](const PlanItem& it) {
                                   return is_c_product(it.field);
                                 });
-        t.exchanger.begin(exchange_items(e.items, *exchanged, &t.ws, t.pre),
-                          "stencil");
+        t.exchanger.begin(exchange_items(e.items, *exchanged, &t.ws, t.pre));
         break;
 
       case PlanEntry::Kind::kExchangeFinish:
         t.exchanger.finish();
-        if (carries_c) wrap_vert_x(t.ws);
-        if (e.fill) fill_boundaries(t.op, *exchanged);
+        if (carries_c)
+          tr.timed(Phase::kBoundaryFill, [&] { wrap_vert_x(t.ws); });
+        if (e.fill) fill(*exchanged, false);
         break;
 
       case PlanEntry::Kind::kUpdate: {
         state::State& in = *slots[e.stage - 1];
         state::State& out = e.stage == 3 ? t.xi : t.eta;
         const bool advect = e.op == Operator::kAdvection;
-        const double dt = advect ? t.dt_advect : t.dt_adapt;
-        obs::Span span;
-        if (e.inner) span = t.comm.tracer().span("interior", "compute");
+        const double dt = advect ? t.config.dt_advect : t.config.dt_adapt;
+        obs::Span interior;
+        if (e.inner) interior = tr.span("interior", "compute");
         for (const mesh::Box& w : e.windows) {
-          t.tendency(in, w, e);
-          out.add_scaled(t.xi, dt, t.tend, w);
+          evaluate_tendency(t, in, w, e);
+          tr.timed(Phase::kUpdate,
+                   [&] { out.add_scaled(t.xi, dt, t.tend, w); });
         }
-        if (e.fill) {
-          if (advect && e.stage < 3) carry_psa(t.xi, out);
-          fill_boundaries(t.op, out);
-        }
+        if (e.fill) fill(out, advect && e.stage < 3);
         if (e.stage == 2) {
-          for (const mesh::Box& w : e.windows) t.mid.average(t.xi, t.eta, w);
-          if (e.fill) {
-            if (advect) carry_psa(t.xi, t.mid);
-            fill_boundaries(t.op, t.mid);
-          }
+          tr.timed(Phase::kUpdate, [&] {
+            for (const mesh::Box& w : e.windows)
+              t.mid.average(t.xi, t.eta, w);
+          });
+          if (e.fill) fill(t.mid, advect);
         }
         break;
       }
 
       case PlanEntry::Kind::kSmooth:
-        switch (e.smoothing) {
-          case Smoothing::kFormer:
-            t.pre->assign(t.xi, t.pre->extended(2, 2, 0));
-            ops::apply_smoothing_former(t.op, t.xi, t.xi.interior(),
-                                        split_north, split_south);
-            break;
-          case Smoothing::kLater: {
-            // The received pre-smoothing halo rows span the owned x extent
-            // only; refresh their periodic x halos before S2's x-quartic
-            // reads them.
-            mesh::fill_x_periodic(t.pre->phi(), 2);
-            mesh::fill_x_periodic(t.pre->psa(), 2);
-            ops::apply_smoothing_later(t.op, *t.pre, t.xi, t.xi.interior(),
-                                       split_north, split_south);
-            break;
+        tr.timed(Phase::kSmoothing, [&] {
+          switch (e.smoothing) {
+            case Smoothing::kFormer:
+              t.pre->assign(t.xi, t.pre->extended(2, 2, 0));
+              ops::apply_smoothing_former(t.op, t.xi, t.xi.interior(),
+                                          split_north, split_south);
+              break;
+            case Smoothing::kLater:
+              // The received pre-smoothing halo rows span the owned x
+              // extent only; refresh their periodic x halos before S2's
+              // x-quartic reads them.
+              mesh::fill_x_periodic(t.pre->phi(), 2);
+              mesh::fill_x_periodic(t.pre->psa(), 2);
+              ops::apply_smoothing_later(t.op, *t.pre, t.xi, t.xi.interior(),
+                                         split_north, split_south);
+              break;
+            case Smoothing::kFull:
+              ops::apply_smoothing(t.op, t.xi, t.eta, t.xi.interior());
+              t.xi.assign(t.eta, t.xi.interior());
+              break;
           }
-          case Smoothing::kFull:
-            ops::apply_smoothing(t.op, t.xi, t.eta, t.xi.interior());
-            t.xi.assign(t.eta, t.xi.interior());
-            break;
-        }
-        if (e.fill) fill_boundaries(t.op, t.xi);
+        });
+        if (e.fill) fill(t.xi, false);
         break;
     }
   }

@@ -10,13 +10,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/dycore_config.hpp"
 #include "core/exchange.hpp"
 #include "mesh/decomp.hpp"
 #include "mesh/halo.hpp"
+#include "ops/filter.hpp"
 #include "ops/tendency.hpp"
 #include "state/state.hpp"
 
@@ -122,20 +122,19 @@ std::vector<ExchangeItem> exchange_items(const std::vector<PlanItem>& items,
 
 /// What run_plan drives on one rank.
 struct PlanTarget {
+  const DycoreConfig& config;
   const ops::OpContext& op;
   comm::Context& comm;
+  const comm::CartTopology& topo;
   HaloExchanger& exchanger;
+  const ops::FourierFilter& filter;
   ops::DiagWorkspace& ws;
   state::State &xi, &eta, &mid, &tend;
   state::State* pre;  ///< pre-smoothing copy (fused smoothing only)
-  double dt_adapt, dt_advect;
-  /// tend = F op(input) on `window`, with C as `update` says.
-  std::function<void(state::State& input, const mesh::Box& window,
-                     const PlanEntry& update)>
-      tendency;
 };
 
-/// Executes the plan's entries in order.
+/// Executes the plan's entries in order, each operator application under
+/// its phase span (util::Phase) on the rank's tracer.
 void run_plan(const StepPlan& plan, PlanTarget& t);
 
 }  // namespace ca::core

@@ -55,8 +55,8 @@ Span& Span::operator=(Span&& other) noexcept {
     tracer_ = other.tracer_;
     name_ = other.name_;
     category_ = other.category_;
-    phase_ = other.phase_;
     t0_us_ = other.t0_us_;
+    depth_ = other.depth_;
     other.tracer_ = nullptr;
   }
   return *this;
@@ -67,11 +67,36 @@ void Span::finish() {
   Tracer* t = tracer_;
   tracer_ = nullptr;
   const double t1 = Tracer::now_us();
-  const double dur = t1 > t0_us_ ? t1 - t0_us_ : 0.0;
-  if (phase_ != nullptr && t->phase_sink_ != nullptr)
-    t->phase_sink_->add(phase_, dur * 1e-6);
+  if (depth_ >= 0) t->close_phase(static_cast<std::size_t>(depth_), t1);
   if (t->recording_)
-    t->record(name_, category_, t0_us_, dur, /*instant=*/false, {});
+    t->record(name_, category_, t0_us_, std::max(0.0, t1 - t0_us_),
+              /*instant=*/false, {});
+}
+
+Span Tracer::phase_span(util::Phase phase, const char* name) {
+  const char* category = util::phase_name(phase);
+  if (name == nullptr) name = category;
+  if (phase_sink_ == nullptr) return span(name, category);
+  const double t = now_us();
+  // Pause the parent: its self time stops while this span runs.
+  if (!open_.empty()) charge_top(t);
+  open_.push_back({phase, t});
+  return Span(this, name, category, t, static_cast<int>(open_.size()) - 1);
+}
+
+void Tracer::charge_top(double t_us) {
+  const OpenPhase& top = open_.back();
+  (*phase_sink_)[top.phase].seconds +=
+      std::max(0.0, t_us - top.resume_us) * 1e-6;
+}
+
+void Tracer::close_phase(std::size_t depth, double t_us) {
+  // Spans close innermost first, so `depth` is normally the top; a span
+  // closed out of order also closes the ones opened inside it.
+  if (depth >= open_.size()) return;
+  charge_top(t_us);
+  open_.resize(depth);
+  if (!open_.empty()) open_.back().resume_us = t_us;
 }
 
 void Tracer::configure(const TraceOptions& opts, int tid,
@@ -81,13 +106,10 @@ void Tracer::configure(const TraceOptions& opts, int tid,
   tid_ = tid;
   pid_ = pid;
   phase_sink_ = phase_sink;
+  open_.clear();
   collector_ = collector;
   exporting_ = opts_.trace && collector_ != nullptr;
   recording_ = opts_.trace || opts_.dump_on_failure;
-#ifdef CA_AGCM_OBS_OFF
-  recording_ = false;
-  exporting_ = false;
-#endif
   ring_capacity_ = static_cast<std::size_t>(std::max(8, opts_.ring_events));
   ring_.clear();
   ring_.reserve(ring_capacity_);
@@ -200,7 +222,8 @@ std::string Tracer::dump_flight(const std::string& reason) {
 
 void TraceCollector::add(int pid, int tid, std::vector<TraceEvent> events) {
   std::lock_guard<std::mutex> lock(mutex_);
-  items_.reserve(items_.size() + events.size());
+  // No exact reserve here: growing to exactly size + n on every spill
+  // would move the whole stream each time (quadratic in run length).
   for (TraceEvent& ev : events) items_.push_back(Item{pid, tid, std::move(ev)});
 }
 

@@ -4,9 +4,10 @@
 // RAII span API writing into a bounded per-rank ring buffer.  Three consumers
 // share the same clock reads:
 //
-//   * util::PhaseTimers — spans opened with phase_span() add their duration
-//     to the rank's phase totals, so BENCH_wallclock.json numbers and trace
-//     timelines come from the same measurements;
+//   * the rank's record (util::PhaseRecord, reached as ctx.timers()) —
+//     spans opened with phase_span() charge their exclusive time to their
+//     phase: a nested span pauses its parent, so the operator, exchange and
+//     collective layers of a step add up to the step span;
 //   * the trace export — when obs.trace is on, rings spill into the run's
 //     TraceCollector, which merges all ranks into one Chrome trace_event
 //     JSON (load chrome://tracing or https://ui.perfetto.dev);
@@ -15,9 +16,9 @@
 //     ChecksumError, kill), a job exhausts its retries, or a checkpoint
 //     chain read falls back, turning incidents into readable postmortems.
 //
-// With obs fully off (obs.trace=0 obs.dump_on_failure=0, or the
-// CA_AGCM_OBS_OFF compile definition) span() reduces to a single branch and
-// no clock is read; phase_span() keeps the seed's PhaseTimers accounting.
+// With obs off (obs.trace=0 obs.dump_on_failure=0) span() reduces to a
+// single branch and no clock is read; phase_span() still reads the clock
+// on open and close to keep the record.
 #pragma once
 
 #include <chrono>
@@ -67,6 +68,9 @@ class TraceCollector;
 class Tracer;
 
 /// Movable RAII handle; closes (and records) the span on destruction.
+/// Phase spans nest innermost-first: close one before opening the next at
+/// the same level (a new phase span assigned over a live one would open
+/// inside it and close with it).
 class Span {
  public:
   Span() = default;
@@ -82,16 +86,16 @@ class Span {
 
  private:
   friend class Tracer;
-  Span(Tracer* tracer, const char* name, const char* category,
-       const char* phase, double t0_us)
-      : tracer_(tracer), name_(name), category_(category), phase_(phase),
-        t0_us_(t0_us) {}
+  Span(Tracer* tracer, const char* name, const char* category, double t0_us,
+       int depth)
+      : tracer_(tracer), name_(name), category_(category), t0_us_(t0_us),
+        depth_(depth) {}
 
   Tracer* tracer_ = nullptr;
   const char* name_ = "";
   const char* category_ = "";
-  const char* phase_ = nullptr;  // PhaseTimers key, null = trace-only
   double t0_us_ = 0.0;
+  int depth_ = -1;  // slot on the tracer's phase stack; -1 = trace-only
 };
 
 class Tracer {
@@ -100,7 +104,7 @@ class Tracer {
 
   /// Arms the tracer.  tid identifies this ring in merged traces and dump
   /// file names (world rank; -1 = the service scheduler).  phase_sink, when
-  /// set, receives phase_span() durations (the rank's PhaseTimers).
+  /// set, is the record phase_span() charges (the rank's ctx.timers()).
   /// collector, when set and opts.trace is on, receives the full span
   /// stream under (pid, tid).
   void configure(const TraceOptions& opts, int tid,
@@ -110,30 +114,22 @@ class Tracer {
   /// True when events are being recorded (trace export or flight ring).
   bool recording() const { return recording_; }
   const TraceOptions& options() const { return opts_; }
-  int tid() const { return tid_; }
 
   /// Trace-only span: a single predicted-false branch when obs is off.
   Span span(const char* name, const char* category = "core") {
-#ifdef CA_AGCM_OBS_OFF
-    (void)name;
-    (void)category;
-    return Span{};
-#else
     if (!recording_) return Span{};
-    return Span(this, name, category, nullptr, now_us());
-#endif
+    return Span(this, name, category, now_us(), -1);
   }
 
-  /// Span that also accumulates into PhaseTimers under `phase` — the
-  /// bench's phase totals and the trace timeline share one clock pair.
-  Span phase_span(const char* name, const char* category, const char* phase) {
-#ifdef CA_AGCM_OBS_OFF
-    if (phase_sink_ == nullptr) return Span{};
-    return Span(this, name, category, phase, now_us());
-#else
-    if (!recording_ && phase_sink_ == nullptr) return Span{};
-    return Span(this, name, category, phase, now_us());
-#endif
+  /// Span charging its exclusive time to `phase` in the record; traced as
+  /// `name` (default: the phase's name) under the phase's name as category.
+  Span phase_span(util::Phase phase, const char* name = nullptr);
+
+  /// Runs f() under phase_span(phase).
+  template <typename F>
+  void timed(util::Phase phase, F&& f) {
+    Span span = phase_span(phase);
+    f();
   }
 
   /// Point event (heartbeat beat, retransmit request, scheduler decision).
@@ -171,6 +167,16 @@ class Tracer {
   friend class Span;
   void record(const char* name, const char* category, double ts_us,
               double dur_us, bool instant, std::string detail);
+  /// Charges the innermost open phase span's self time up to t_us.
+  void charge_top(double t_us);
+  /// charge_top, then pops the stack down to `depth`; the new top resumes
+  /// at t_us.
+  void close_phase(std::size_t depth, double t_us);
+
+  struct OpenPhase {
+    util::Phase phase;
+    double resume_us;  // start of the current self-time interval
+  };
 
   TraceOptions opts_;
   bool recording_ = false;
@@ -178,6 +184,7 @@ class Tracer {
   int tid_ = 0;
   int pid_ = 0;
   util::PhaseTimers* phase_sink_ = nullptr;
+  std::vector<OpenPhase> open_;  // open phase spans, innermost last
   TraceCollector* collector_ = nullptr;
   std::vector<TraceEvent> ring_;
   std::size_t ring_capacity_ = 0;

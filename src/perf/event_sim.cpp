@@ -4,6 +4,7 @@
 #include <deque>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 
 namespace ca::perf {
@@ -45,58 +46,35 @@ std::uint64_t site_key(int group, int occurrence) {
 
 }  // namespace
 
-double SimResult::phase_max_seconds(const std::string& phase) const {
+double SimResult::phase_max_seconds(util::Phase phase) const {
   double mx = 0.0;
-  for (const auto& r : ranks) {
-    auto it = r.phases.find(phase);
-    if (it != r.phases.end()) mx = std::max(mx, it->second.seconds);
-  }
+  for (const auto& r : ranks) mx = std::max(mx, r.phases[phase].seconds);
   return mx;
 }
 
-double SimResult::phase_avg_seconds(const std::string& phase) const {
+double SimResult::phase_avg_seconds(util::Phase phase) const {
   if (ranks.empty()) return 0.0;
   double sum = 0.0;
-  for (const auto& r : ranks) {
-    auto it = r.phases.find(phase);
-    if (it != r.phases.end()) sum += it->second.seconds;
-  }
+  for (const auto& r : ranks) sum += r.phases[phase].seconds;
   return sum / static_cast<double>(ranks.size());
 }
 
-std::uint64_t SimResult::phase_total_messages(const std::string& phase) const {
-  std::uint64_t n = 0;
-  for (const auto& r : ranks) {
-    auto it = r.phases.find(phase);
-    if (it != r.phases.end()) n += it->second.messages;
-  }
-  return n;
+util::PhaseStats SimResult::phase_total(util::Phase phase) const {
+  util::PhaseStats total;
+  for (const auto& r : ranks) total += r.phases[phase];
+  return total;
 }
 
-std::uint64_t SimResult::phase_total_bytes(const std::string& phase) const {
-  std::uint64_t n = 0;
-  for (const auto& r : ranks) {
-    auto it = r.phases.find(phase);
-    if (it != r.phases.end()) n += it->second.bytes;
+std::vector<util::Phase> SimResult::phases() const {
+  std::vector<util::Phase> out;
+  for (std::size_t i = 0; i < util::kPhaseCount; ++i) {
+    const auto p = static_cast<util::Phase>(i);
+    if (phase_total(p) != util::PhaseStats{}) out.push_back(p);
   }
-  return n;
-}
-
-std::uint64_t SimResult::phase_total_collective_bytes(
-    const std::string& phase) const {
-  std::uint64_t n = 0;
-  for (const auto& r : ranks) {
-    auto it = r.phases.find(phase);
-    if (it != r.phases.end()) n += it->second.collective_bytes;
-  }
-  return n;
-}
-
-std::vector<std::string> SimResult::phase_names() const {
-  std::set<std::string> names;
-  for (const auto& r : ranks)
-    for (const auto& [name, acct] : r.phases) names.insert(name);
-  return {names.begin(), names.end()};
+  std::sort(out.begin(), out.end(), [](util::Phase a, util::Phase b) {
+    return std::string_view(util::phase_name(a)) < util::phase_name(b);
+  });
+  return out;
 }
 
 SimResult simulate(const Schedule& schedule, const MachineModel& machine) {
@@ -116,7 +94,7 @@ SimResult simulate(const Schedule& schedule, const MachineModel& machine) {
       const auto& prog = schedule.program(r);
       while (st.pc < prog.size()) {
         const Op& op = prog[st.pc];
-        PhaseAccount& acct = st.result.phases[op.phase];
+        util::PhaseStats& acct = st.result.phases[op.phase];
         if (op.kind == OpKind::kCompute) {
           const double dt = op.flops * machine.flop_time;
           st.clock += dt;
@@ -124,8 +102,8 @@ SimResult simulate(const Schedule& schedule, const MachineModel& machine) {
         } else if (op.kind == OpKind::kIsend) {
           st.clock += machine.alpha;
           acct.seconds += machine.alpha;
-          acct.messages += 1;
-          acct.bytes += op.bytes;
+          acct.p2p_messages += 1;
+          acct.p2p_bytes += op.bytes;
           channels[channel_key(r, op.peer)].push_back(
               st.clock + machine.beta * static_cast<double>(op.bytes));
         } else if (op.kind == OpKind::kIrecv) {
@@ -178,7 +156,7 @@ SimResult simulate(const Schedule& schedule, const MachineModel& machine) {
           }
           if (!site.done) break;  // blocked until the group completes
           acct.seconds += site.finish - st.clock;
-          acct.collectives += 1;
+          acct.collective_calls += 1;
           acct.collective_bytes += op.bytes;
           st.clock = site.finish;
           st.registered.erase(key);

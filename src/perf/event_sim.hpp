@@ -11,32 +11,23 @@
 //   - kCollective  : all members rendezvous; everyone leaves at
 //                    max(entry clocks) + collective_seconds
 //
-// Per-phase accounting: every clock advancement is attributed to the
-// active op's phase label, and message/byte counters are kept per phase so
-// the schedule can be validated against the functional runtime's
-// comm::CommStats.
+// Per-phase accounting: every clock advancement is charged to the active
+// op's phase, and message/byte counters are kept per phase, in the same
+// per-rank record (util::PhaseRecord) the functional runtime fills, so
+// the schedule can be validated against it phase by phase.
 #pragma once
 
-#include <map>
-#include <string>
 #include <vector>
 
 #include "perf/machine.hpp"
 #include "perf/schedule.hpp"
+#include "util/timer.hpp"
 
 namespace ca::perf {
 
-struct PhaseAccount {
-  double seconds = 0.0;
-  std::uint64_t messages = 0;      ///< p2p messages sent
-  std::uint64_t bytes = 0;         ///< p2p bytes sent
-  std::uint64_t collectives = 0;   ///< collective calls entered
-  std::uint64_t collective_bytes = 0;
-};
-
 struct RankResult {
   double total_seconds = 0.0;
-  std::map<std::string, PhaseAccount> phases;
+  util::PhaseRecord phases;
 };
 
 struct SimResult {
@@ -46,15 +37,13 @@ struct SimResult {
   double makespan = 0.0;
 
   /// Max across ranks of the per-phase time (0 if the phase never ran).
-  double phase_max_seconds(const std::string& phase) const;
+  double phase_max_seconds(util::Phase phase) const;
   /// Mean across ranks of the per-phase time.
-  double phase_avg_seconds(const std::string& phase) const;
-  /// Sum across ranks of per-phase p2p messages / bytes.
-  std::uint64_t phase_total_messages(const std::string& phase) const;
-  std::uint64_t phase_total_bytes(const std::string& phase) const;
-  std::uint64_t phase_total_collective_bytes(const std::string& phase) const;
-  /// All phase labels seen.
-  std::vector<std::string> phase_names() const;
+  double phase_avg_seconds(util::Phase phase) const;
+  /// Sum across ranks of the phase's record.
+  util::PhaseStats phase_total(util::Phase phase) const;
+  /// The phases any rank charged, in name order.
+  std::vector<util::Phase> phases() const;
 };
 
 /// Runs the schedule to completion.  Throws std::runtime_error on deadlock

@@ -9,22 +9,17 @@ namespace ca::perf {
 
 std::vector<PhaseSummary> summarize(const SimResult& result) {
   std::vector<PhaseSummary> rows;
-  for (const auto& name : result.phase_names()) {
+  for (const util::Phase phase : result.phases()) {
     PhaseSummary row;
-    row.phase = name;
+    row.phase = util::phase_name(phase);
     row.min_seconds = std::numeric_limits<double>::infinity();
+    row.total = result.phase_total(phase);
     double sum = 0.0;
     for (const auto& r : result.ranks) {
-      const auto it = r.phases.find(name);
-      const double s = it == r.phases.end() ? 0.0 : it->second.seconds;
+      const double s = r.phases[phase].seconds;
       row.max_seconds = std::max(row.max_seconds, s);
       row.min_seconds = std::min(row.min_seconds, s);
       sum += s;
-      if (it != r.phases.end()) {
-        row.messages += it->second.messages;
-        row.bytes += it->second.bytes;
-        row.collective_bytes += it->second.collective_bytes;
-      }
     }
     row.avg_seconds =
         result.ranks.empty() ? 0.0 : sum / static_cast<double>(result.ranks.size());
@@ -49,10 +44,10 @@ void print_summary(std::ostream& out, const SimResult& result,
         << std::scientific << std::setprecision(3) << std::setw(12)
         << row.max_seconds << std::setw(12) << row.avg_seconds
         << std::fixed << std::setprecision(2) << std::setw(8)
-        << row.imbalance << std::setw(12) << row.messages
+        << row.imbalance << std::setw(12) << row.total.p2p_messages
         << std::setprecision(1) << std::setw(12)
-        << static_cast<double>(row.bytes) / 1e6 << std::setw(12)
-        << static_cast<double>(row.collective_bytes) / 1e6 << "\n";
+        << static_cast<double>(row.total.p2p_bytes) / 1e6 << std::setw(12)
+        << static_cast<double>(row.total.collective_bytes) / 1e6 << "\n";
   }
 }
 
@@ -66,8 +61,8 @@ void append_csv(std::ostream& out, const std::string& label,
     out << label << ',' << row.phase << ',' << std::scientific
         << std::setprecision(6) << row.max_seconds << ','
         << row.avg_seconds << ',' << std::fixed << std::setprecision(4)
-        << row.imbalance << ',' << row.messages << ',' << row.bytes << ','
-        << row.collective_bytes << "\n";
+        << row.imbalance << ',' << row.total.p2p_messages << ','
+        << row.total.p2p_bytes << ',' << row.total.collective_bytes << "\n";
   }
 }
 

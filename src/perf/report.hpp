@@ -19,9 +19,7 @@ struct PhaseSummary {
   double min_seconds = 0.0;
   /// Imbalance ratio max/avg (1 = perfectly balanced).
   double imbalance = 0.0;
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t collective_bytes = 0;
+  util::PhaseStats total;  ///< summed over ranks
 };
 
 /// Per-phase summary rows (sorted by phase name) of a simulation result.

@@ -1,44 +1,43 @@
 #include "perf/schedule.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace ca::perf {
 
-void Schedule::add_compute(int rank, double flops, std::string phase) {
+void Schedule::add_compute(int rank, double flops, util::Phase phase) {
   Op op;
   op.kind = OpKind::kCompute;
   op.flops = flops;
-  op.phase = std::move(phase);
+  op.phase = phase;
   programs_[static_cast<std::size_t>(rank)].push_back(std::move(op));
 }
 
 void Schedule::add_isend(int rank, int dst, std::size_t bytes,
-                         std::string phase) {
+                         util::Phase phase) {
   if (dst < 0 || dst >= nranks())
     throw std::out_of_range("Schedule::add_isend: bad destination");
   Op op;
   op.kind = OpKind::kIsend;
   op.peer = dst;
   op.bytes = bytes;
-  op.phase = std::move(phase);
+  op.phase = phase;
   programs_[static_cast<std::size_t>(rank)].push_back(std::move(op));
 }
 
-void Schedule::add_irecv(int rank, int src, std::string phase) {
+void Schedule::add_irecv(int rank, int src, util::Phase phase) {
   if (src < 0 || src >= nranks())
     throw std::out_of_range("Schedule::add_irecv: bad source");
   Op op;
   op.kind = OpKind::kIrecv;
   op.peer = src;
-  op.phase = std::move(phase);
+  op.phase = phase;
   programs_[static_cast<std::size_t>(rank)].push_back(std::move(op));
 }
 
-void Schedule::add_waitall(int rank, std::string phase) {
+void Schedule::add_waitall(int rank, util::Phase phase) {
   Op op;
   op.kind = OpKind::kWaitAll;
-  op.phase = std::move(phase);
+  op.phase = phase;
   programs_[static_cast<std::size_t>(rank)].push_back(std::move(op));
 }
 
@@ -51,7 +50,7 @@ int Schedule::add_group(std::vector<int> members) {
 }
 
 void Schedule::add_collective(int rank, int group, double seconds,
-                              std::size_t bytes, std::string phase) {
+                              std::size_t bytes, util::Phase phase) {
   if (group < 0 || group >= static_cast<int>(groups_.size()))
     throw std::out_of_range("Schedule::add_collective: bad group id");
   Op op;
@@ -59,18 +58,8 @@ void Schedule::add_collective(int rank, int group, double seconds,
   op.group = group;
   op.collective_seconds = seconds;
   op.bytes = bytes;
-  op.phase = std::move(phase);
+  op.phase = phase;
   programs_[static_cast<std::size_t>(rank)].push_back(std::move(op));
-}
-
-void Schedule::add_exchange(int rank, const std::vector<int>& peers,
-                            const std::vector<std::size_t>& bytes_per_peer,
-                            const std::string& phase) {
-  assert(peers.size() == bytes_per_peer.size());
-  for (int p : peers) add_irecv(rank, p, phase);
-  for (std::size_t i = 0; i < peers.size(); ++i)
-    add_isend(rank, peers[i], bytes_per_peer[i], phase);
-  add_waitall(rank, phase);
 }
 
 }  // namespace ca::perf

@@ -9,8 +9,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
+
+#include "util/timer.hpp"
 
 namespace ca::perf {
 
@@ -34,8 +35,8 @@ struct Op {
   int group = -1;
   /// kCollective: wall-clock cost once all members have entered [s].
   double collective_seconds = 0.0;
-  /// Accounting label ("collective", "stencil", "compute", "filter", ...).
-  std::string phase;
+  /// Accounting phase (stencil, collective or compute for the builders).
+  util::Phase phase = util::Phase::kCompute;
 };
 
 class Schedule {
@@ -44,23 +45,17 @@ class Schedule {
 
   int nranks() const { return static_cast<int>(programs_.size()); }
 
-  void add_compute(int rank, double flops, std::string phase);
-  void add_isend(int rank, int dst, std::size_t bytes, std::string phase);
-  void add_irecv(int rank, int src, std::string phase);
-  void add_waitall(int rank, std::string phase);
+  void add_compute(int rank, double flops, util::Phase phase);
+  void add_isend(int rank, int dst, std::size_t bytes, util::Phase phase);
+  void add_irecv(int rank, int src, util::Phase phase);
+  void add_waitall(int rank, util::Phase phase);
 
   /// Registers a group (e.g. a z line); returns its id.
   int add_group(std::vector<int> members);
   /// Adds the collective op for ONE member; every member of the group must
   /// add a matching op (in the same per-group order).
   void add_collective(int rank, int group, double seconds, std::size_t bytes,
-                      std::string phase);
-
-  /// Convenience: a blocking halo exchange with peer list — posts all
-  /// irecvs, all isends, then waits (the original algorithm's pattern).
-  void add_exchange(int rank, const std::vector<int>& peers,
-                    const std::vector<std::size_t>& bytes_per_peer,
-                    const std::string& phase);
+                      util::Phase phase);
 
   const std::vector<Op>& program(int rank) const {
     return programs_[static_cast<std::size_t>(rank)];

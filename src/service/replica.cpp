@@ -123,9 +123,8 @@ void replicate_checkpoint(comm::Context& ctx, ReplicaStore& store,
   if (n < 2) return;
   const int buddy = (me + 1) % n;        // receives my image
   const int ward = (me + n - 1) % n;     // I hold its image
-  ctx.stats().set_phase("replicate");
-  obs::Span span =
-      ctx.tracer().phase_span("replicate", "checkpoint", "replicate");
+  ctx.stats().set_phase(util::Phase::kReplicate);
+  obs::Span span = ctx.tracer().phase_span(util::Phase::kReplicate);
   const ReplicaWireHeader out{step, time_seconds, image.size()};
   ctx.send(w, buddy, kTagReplicaHeader,
            std::as_bytes(std::span<const ReplicaWireHeader>(&out, 1)));
@@ -138,7 +137,7 @@ void replicate_checkpoint(comm::Context& ctx, ReplicaStore& store,
   std::vector<std::byte> body(in.bytes);
   ctx.recv(w, ward, kTagReplicaBody, body);
   span.finish();
-  ctx.stats().set_phase("service");
+  ctx.stats().set_phase(util::Phase::kService);
   store.deposit(prefix, ward, me, in.step, in.time_seconds,
                 std::move(body));
 }

@@ -200,7 +200,7 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
             const double local[2] = {static_cast<double>(ram_step),
                                      -static_cast<double>(ram_step)};
             double agreed[2] = {local[0], local[1]};
-            ctx.stats().set_phase("service");
+            ctx.stats().set_phase(util::Phase::kService);
             comm::allreduce<double>(ctx, ctx.world(),
                                     std::span<const double>(local, 2),
                                     std::span<double>(agreed, 2),
@@ -238,7 +238,7 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
             const double local[2] = {static_cast<double>(hdr_step),
                                      -static_cast<double>(hdr_step)};
             double agreed[2] = {local[0], local[1]};
-            ctx.stats().set_phase("service");
+            ctx.stats().set_phase(util::Phase::kService);
             comm::allreduce<double>(ctx, ctx.world(),
                                     std::span<const double>(local, 2),
                                     std::span<double>(agreed, 2),
@@ -304,7 +304,7 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
                              : 0.0;
             double any_bad = bad;
             if (ctx.world().size() > 1) {
-              ctx.stats().set_phase("service");
+              ctx.stats().set_phase(util::Phase::kService);
               comm::allreduce<double>(
                   ctx, ctx.world(), std::span<const double>(&bad, 1),
                   std::span<double>(&any_bad, 1), comm::ReduceOp::kMax);
@@ -365,7 +365,7 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
           util::CarryReader r(carry);
           core.restore_carry(r);
         }
-        core.refresh_halos(xi, "restart");
+        core.refresh_halos(xi);
         restore_s = restore_timer.seconds();
       } else {
         core.initialize(xi, spec.initial);

@@ -157,7 +157,7 @@ void ShallowWaterCore::refresh_halos(SweState& s) {
         {nullptr, &s.h, 0, kHalo, 0},
         {nullptr, &s.u, 0, kHalo, 0},
         {nullptr, &s.v, 0, kHalo, 0}};
-    ex.exchange(items, "swe");
+    ex.exchange(items);
   }
   fill_boundaries_2d(decomp_, s.h, false);
   fill_boundaries_2d(decomp_, s.u, false);

@@ -285,7 +285,7 @@ TEST(Campaign, CAPreemptedAtEveryCheckpointIsBitwise) {
       ASSERT_FALSE(carry.empty()) << "CA checkpoint lost its carry block";
       util::CarryReader r(carry);
       core.restore_carry(r);
-      core.refresh_halos(xi, "restart");
+      core.refresh_halos(xi);
       CampaignOptions leg;
       leg.steps = kSteps;
       leg.start_step = static_cast<int>(hdr.step);
@@ -334,7 +334,8 @@ TEST(Campaign, CheckpointBarrierRunsAtEveryCheckpoint) {
     opt.checkpoint_prefix = prefix;
     // Deliberately no should_yield: the barrier must not depend on it.
     EXPECT_EQ(run_campaign(core, &ctx, xi, opt), 4);
-    EXPECT_EQ(ctx.stats().phase_totals("service").collective_calls, 2u)
+    EXPECT_EQ(
+        ctx.stats().phase_totals(util::Phase::kService).collective_calls, 2u)
         << "expected one consistency-barrier allreduce per checkpoint";
     std::remove(util::checkpoint_path(prefix, ctx.world_rank()).c_str());
   });

@@ -934,7 +934,7 @@ TEST(Checkpoint, RestartedDistributedRunIsIdentical) {
     const auto hdr = read_checkpoint(
         checkpoint_path(prefix, ctx.world_rank()), mesh, core.decomp(), xi);
     EXPECT_EQ(hdr.step, 2);
-    core.refresh_halos(xi, "restart");
+    core.refresh_halos(xi);
     core.run(xi, 2);
     auto g = core::gather_global(core.op_context(), ctx, core.topology(),
                                  xi);
@@ -1012,7 +1012,7 @@ state::State ca_resume_and_finish(const core::DycoreConfig& c,
     ASSERT_FALSE(carry.empty()) << "resharded set lost the carry block";
     CarryReader r(carry);
     core.restore_carry(r);
-    core.refresh_halos(xi, "restart");
+    core.refresh_halos(xi);
     for (int i = static_cast<int>(hdr.step); i < total; ++i) core.step(xi);
     core.finalize(xi);
     auto g = core::gather_global(core.op_context(), ctx, core.topology(), xi);

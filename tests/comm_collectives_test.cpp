@@ -114,11 +114,11 @@ TEST(Collectives, RabenseifnerVolumeMatchesRing) {
   static constexpr int kP = 8;
   static constexpr int kN = 256;
   Runtime::run(kP, [](Context& ctx) {
-    ctx.stats().set_phase("rab");
+    ctx.stats().set_phase(util::Phase::kCollective);
     std::vector<double> in(kN, 1.0), out(kN);
     allreduce<double>(ctx, ctx.world(), in, out, ReduceOp::kSum,
                       AllreduceAlgorithm::kRabenseifner);
-    auto s = ctx.stats().phase_totals("rab");
+    auto s = ctx.stats().phase_totals(util::Phase::kCollective);
     const double words =
         static_cast<double>(s.collective_bytes) / sizeof(double);
     const double expected = 2.0 * (kP - 1) * kN / kP;
@@ -254,11 +254,11 @@ TEST(Collectives, BarrierSeparatesPhases) {
 
 TEST(Collectives, StatsAttributeCollectiveTraffic) {
   Runtime::run(4, [](Context& ctx) {
-    ctx.stats().set_phase("coll");
+    ctx.stats().set_phase(util::Phase::kCollective);
     std::vector<double> in(64, 1.0), out(64);
     allreduce<double>(ctx, ctx.world(), in, out, ReduceOp::kSum,
                       AllreduceAlgorithm::kRing);
-    auto s = ctx.stats().phase_totals("coll");
+    auto s = ctx.stats().phase_totals(util::Phase::kCollective);
     EXPECT_EQ(s.collective_calls, 1u);
     EXPECT_GT(s.collective_bytes, 0u);
     EXPECT_EQ(s.p2p_messages, 0u)
@@ -272,11 +272,11 @@ TEST(Collectives, RingVolumeMatchesTheorem42) {
   static constexpr int kP = 8;
   static constexpr int kN = 256;
   Runtime::run(kP, [](Context& ctx) {
-    ctx.stats().set_phase("ring");
+    ctx.stats().set_phase(util::Phase::kCollective);
     std::vector<double> in(kN, 1.0), out(kN);
     allreduce<double>(ctx, ctx.world(), in, out, ReduceOp::kSum,
                       AllreduceAlgorithm::kRing);
-    auto s = ctx.stats().phase_totals("ring");
+    auto s = ctx.stats().phase_totals(util::Phase::kCollective);
     const double words_sent =
         static_cast<double>(s.collective_bytes) / sizeof(double);
     const double expected = 2.0 * (kP - 1) * kN / kP;

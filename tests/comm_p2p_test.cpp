@@ -133,19 +133,19 @@ TEST(CommP2P, SizeMismatchThrows) {
 TEST(CommP2P, StatsCountMessagesAndBytes) {
   Runtime::run(2, [](Context& ctx) {
     const auto& w = ctx.world();
-    ctx.stats().set_phase("exchange");
+    ctx.stats().set_phase(util::Phase::kStencil);
     if (ctx.world_rank() == 0) {
       std::vector<double> v(10, 1.0);
       ctx.send_values<double>(w, 1, 0, v);
       ctx.send_values<double>(w, 1, 0, v);
-      auto s = ctx.stats().phase_totals("exchange");
+      auto s = ctx.stats().phase_totals(util::Phase::kStencil);
       EXPECT_EQ(s.p2p_messages, 2u);
       EXPECT_EQ(s.p2p_bytes, 2u * 10u * sizeof(double));
     } else {
       std::vector<double> v(10);
       ctx.recv_values<double>(w, 0, 0, v);
       ctx.recv_values<double>(w, 0, 0, v);
-      auto s = ctx.stats().phase_totals("exchange");
+      auto s = ctx.stats().phase_totals(util::Phase::kStencil);
       EXPECT_EQ(s.p2p_messages, 0u) << "receives are not counted as sends";
     }
   });

@@ -38,8 +38,9 @@ double rotation_error(int nx, int x_order) {
       for (int i = 0; i < nx; ++i) xi.u()(i, j, k) = p_ref * u0;
   core.fill_boundaries(xi);
   ops::DiagWorkspace ws(nx, c.ny, c.nz, core::halos_for_depth(1));
-  core::compute_diagnostics(ctx, nullptr, nullptr, xi, xi.interior(), ws,
-                            false, comm::AllreduceAlgorithm::kAuto, "t");
+  ops::compute_local_diag(ctx, xi, xi.interior(), ws);
+  core::compute_c(ctx, nullptr, nullptr, xi, xi.interior(), ws,
+                  comm::AllreduceAlgorithm::kAuto);
 
   // Tracer: a smooth single-harmonic profile on a mid-latitude row.
   const int j0 = 4, k0 = 2;

@@ -124,9 +124,9 @@ TEST(CASweepCounts, ExchangeCountIndependentOfM) {
       o.kind = state::InitialCondition::kPlanetaryWave;
       core.initialize(xi, o);
       core.step(xi);
-      auto before = ctx.stats().phase_totals("stencil");
+      auto before = ctx.stats().phase_totals(util::Phase::kStencil);
       core.step(xi);
-      auto after = ctx.stats().phase_totals("stencil");
+      auto after = ctx.stats().phase_totals(util::Phase::kStencil);
       // 10 items in the adaptation exchange + 5 in the advection one,
       // one neighbor.
       EXPECT_EQ(after.p2p_messages - before.p2p_messages, 15u)

@@ -332,9 +332,9 @@ TEST(MessageCounts, CAReducesExchangesFrom3MPlus4To2) {
     state::InitialOptions opt;
     opt.kind = ic;
     core.initialize(xi, opt);
-    auto before = ctx.stats().phase_totals("stencil");
+    auto before = ctx.stats().phase_totals(util::Phase::kStencil);
     core.step(xi);
-    auto after = ctx.stats().phase_totals("stencil");
+    auto after = ctx.stats().phase_totals(util::Phase::kStencil);
     // 4 items per exchange (U, V, Phi, psa), one neighbor, (3M + 4)
     // exchanges.
     const auto sent = after.p2p_messages - before.p2p_messages;
@@ -348,9 +348,9 @@ TEST(MessageCounts, CAReducesExchangesFrom3MPlus4To2) {
     opt.kind = ic;
     core.initialize(xi, opt);
     core.step(xi);  // step 1: no smoothing yet
-    auto before = ctx.stats().phase_totals("stencil");
+    auto before = ctx.stats().phase_totals(util::Phase::kStencil);
     core.step(xi);  // steady-state step
-    auto after = ctx.stats().phase_totals("stencil");
+    auto after = ctx.stats().phase_totals(util::Phase::kStencil);
     const auto sent = after.p2p_messages - before.p2p_messages;
     // Exchange 1 carries xi plus the C products plus the fused
     // pre-smoothing rows: U, V, Phi, psa, divsum, sdot, w, phi_geo,
@@ -372,9 +372,9 @@ TEST(CollectiveCounts, CAUsesTwoThirdsOfOriginalZCollectives) {
     state::InitialOptions opt;
     opt.kind = ic;
     core.initialize(xi, opt);
-    auto before = ctx.stats().phase_totals("collective");
+    auto before = ctx.stats().phase_totals(util::Phase::kCollective);
     core.step(xi);
-    auto after = ctx.stats().phase_totals("collective");
+    auto after = ctx.stats().phase_totals(util::Phase::kCollective);
     if (ctx.world_rank() == 0)
       orig_calls = after.collective_calls - before.collective_calls;
   });
@@ -385,9 +385,9 @@ TEST(CollectiveCounts, CAUsesTwoThirdsOfOriginalZCollectives) {
     opt.kind = ic;
     core.initialize(xi, opt);
     core.step(xi);
-    auto before = ctx.stats().phase_totals("collective");
+    auto before = ctx.stats().phase_totals(util::Phase::kCollective);
     core.step(xi);
-    auto after = ctx.stats().phase_totals("collective");
+    auto after = ctx.stats().phase_totals(util::Phase::kCollective);
     if (ctx.world_rank() == 0)
       ca_calls = after.collective_calls - before.collective_calls;
   });

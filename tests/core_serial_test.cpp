@@ -106,9 +106,9 @@ TEST(SerialCore, PressureGradientForceOpposesGradient) {
   core.fill_boundaries(xi);
 
   ops::DiagWorkspace ws(cfg.nx, cfg.ny, cfg.nz, halos_for_depth(1));
-  compute_diagnostics(core.op_context(), nullptr, nullptr, xi,
-                      xi.interior(), ws, false,
-                      comm::AllreduceAlgorithm::kAuto, "test");
+  ops::compute_local_diag(core.op_context(), xi, xi.interior(), ws);
+  compute_c(core.op_context(), nullptr, nullptr, xi, xi.interior(), ws,
+            comm::AllreduceAlgorithm::kAuto);
   auto tend = core.make_state();
   core.adaptation_tendency(xi, tend);
 
@@ -171,8 +171,9 @@ TEST(SerialCore, AdvectionConservesQuadraticInvariant) {
   core.fill_boundaries(xi);
   ops::DiagWorkspace ws(cfg.nx, cfg.ny, cfg.nz, halos_for_depth(1));
   const mesh::Box window = xi.interior();
-  compute_diagnostics(core.op_context(), nullptr, nullptr, xi, window, ws,
-                      false, cfg.z_allreduce, "t");
+  ops::compute_local_diag(core.op_context(), xi, window, ws);
+  compute_c(core.op_context(), nullptr, nullptr, xi, window, ws,
+            cfg.z_allreduce);
   ops::apply_advection(core.op_context(), xi, ws.local, ws.vert, tend,
                        window);
 
@@ -209,8 +210,9 @@ TEST(SerialCore, FourthOrderAdvectionNearlyConserves) {
   ops::DiagWorkspace ws(cfg.nx, cfg.ny, cfg.nz, halos_for_depth(1));
   auto tend = core.make_state();
   const mesh::Box window = xi.interior();
-  compute_diagnostics(core.op_context(), nullptr, nullptr, xi, window, ws,
-                      false, cfg.z_allreduce, "t");
+  ops::compute_local_diag(core.op_context(), xi, window, ws);
+  compute_c(core.op_context(), nullptr, nullptr, xi, window, ws,
+            cfg.z_allreduce);
   ops::apply_advection(core.op_context(), xi, ws.local, ws.vert, tend,
                        window);
   const auto& ctx = core.op_context();

@@ -111,7 +111,7 @@ void run_fuzz_case(const FuzzCase& c, const comm::RunOptions& opts) {
     std::vector<ExchangeItem> items;
     for (auto& f : fields)
       items.push_back({&f, nullptr, c.wx, c.wy, c.wz});
-    ex.exchange(items, "fuzz");
+    ex.exchange(items);
     expect_halos_match_owners(fields, d, c);
   });
 }
@@ -186,8 +186,8 @@ TEST(ExchangeSplit, BeginFinishDeliversSameAsBlocking) {
     HaloExchanger ex(ctx, topo);
     std::vector<ExchangeItem> ia{{&a, nullptr, 0, 2, 1}};
     std::vector<ExchangeItem> ib{{&b, nullptr, 0, 2, 1}};
-    ex.exchange(ia, "blocking");
-    ex.begin(ib, "split");
+    ex.exchange(ia);
+    ex.begin(ib);
     // Interleave unrelated work before finishing.
     volatile double sink = 0.0;
     for (int n = 0; n < 1000; ++n) sink = sink + n;
@@ -214,8 +214,8 @@ TEST(ExchangeSplit, BeginDrainsTheRoundStillInFlight) {
     std::vector<ExchangeItem> first{{&fields[0], nullptr, c.wx, c.wy, c.wz}};
     std::vector<ExchangeItem> second{
         {&fields[1], nullptr, c.wx, c.wy, c.wz}};
-    ex.begin(first, "first");
-    ex.begin(second, "second");
+    ex.begin(first);
+    ex.begin(second);
     ex.finish();
     expect_halos_match_owners(fields, d, c);
   });
@@ -229,9 +229,10 @@ TEST(ExchangeEdge, SingleRankExchangesNothing) {
     f.fill(3.0);
     HaloExchanger ex(ctx, topo);
     std::vector<ExchangeItem> items{{&f, nullptr, 1, 1, 1}};
-    ex.exchange(items, "none");
+    ex.exchange(items);
     EXPECT_EQ(ex.last_message_count(), 0u);
-    EXPECT_EQ(ctx.stats().phase_totals("none").p2p_messages, 0u);
+    EXPECT_EQ(ctx.stats().phase_totals(util::Phase::kStencil).p2p_messages,
+              0u);
   });
 }
 

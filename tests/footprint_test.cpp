@@ -41,9 +41,9 @@ class FootprintFixture : public ::testing::Test {
 
   /// Recomputes all diagnostics from the (possibly perturbed) state.
   void refresh() {
-    core::compute_diagnostics(core_.op_context(), nullptr, nullptr, xi_,
-                              xi_.interior(), ws_, false,
-                              comm::AllreduceAlgorithm::kAuto, "fp");
+    ops::compute_local_diag(core_.op_context(), xi_, xi_.interior(), ws_);
+    core::compute_c(core_.op_context(), nullptr, nullptr, xi_, xi_.interior(),
+                    ws_, comm::AllreduceAlgorithm::kAuto);
   }
 
   static core::DycoreConfig make_config() {
@@ -298,9 +298,9 @@ TEST_F(FootprintFixture, SecondOrderXShrinksFootprints) {
   opt.kind = state::InitialCondition::kPlanetaryWave;
   core2.initialize(xi2, opt);
   DiagWorkspace ws2(cfg.nx, cfg.ny, cfg.nz, core::halos_for_depth(1));
-  core::compute_diagnostics(core2.op_context(), nullptr, nullptr, xi2,
-                            xi2.interior(), ws2, false,
-                            comm::AllreduceAlgorithm::kAuto, "fp");
+  ops::compute_local_diag(core2.op_context(), xi2, xi2.interior(), ws2);
+  core::compute_c(core2.op_context(), nullptr, nullptr, xi2, xi2.interior(),
+                  ws2, comm::AllreduceAlgorithm::kAuto);
   AdvectionTerms t(core2.op_context(), xi2, ws2.local, ws2.vert);
   FootprintProbe p;
   p.inputs3d = {&xi2.phi()};

@@ -1,12 +1,16 @@
 // Observability subsystem: span/ring semantics of the Tracer (nesting,
-// bounded flight ring, off-switch), the merged multi-rank Chrome trace
-// export, flight-recorder dumps, and the obs-off bitwise guarantee (tracing
-// a run must not change a single bit of the model state).
+// bounded flight ring, off-switch), exclusive phase time in the per-rank
+// record, the merged multi-rank Chrome trace export, flight-recorder dumps,
+// and the obs-off bitwise guarantee (tracing a run must not change a single
+// bit of the model state).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -14,12 +18,15 @@
 #include <vector>
 
 #include "comm/runtime.hpp"
+#include "core/ca_core.hpp"
 #include "core/campaign.hpp"
 #include "core/exchange.hpp"
 #include "core/original_core.hpp"
+#include "core/serial_core.hpp"
 #include "obs/trace.hpp"
 #include "state/state.hpp"
 #include "util/json.hpp"
+#include "util/timer.hpp"
 
 namespace ca::obs {
 namespace {
@@ -152,6 +159,126 @@ TEST(Tracer, SecondIncidentNeverClobbersTheFirstDump) {
   EXPECT_EQ(reason_of(p2), "third incident");
 }
 
+TEST(Tracer, NestedPhaseSpansChargeExclusiveTime) {
+  util::PhaseRecord record;
+  Tracer t;
+  t.configure(ring_opts(), /*tid=*/0, &record);
+  // Spins for 2 ms of wall clock; returns the wall clock it took.
+  auto busy = [] {
+    const util::Timer timer;
+    while (timer.seconds() < 2e-3) {
+    }
+    return timer.seconds();
+  };
+  double outside = 0.0, inside = 0.0;
+  {
+    Span step = t.phase_span(util::Phase::kStep);
+    outside += busy();
+    {
+      Span op = t.phase_span(util::Phase::kAdaptation);
+      inside += busy();
+      Span trace_only = t.span("interior", "compute");
+      inside += busy();
+    }
+    outside += busy();
+  }
+  // The parent paused while its child ran; a trace-only span charges
+  // nothing and pauses nothing.
+  const double self = record[util::Phase::kStep].seconds;
+  const double op = record[util::Phase::kAdaptation].seconds;
+  EXPECT_NEAR(self, outside, 0.25 * inside);
+  EXPECT_NEAR(op, inside, 0.25 * outside);
+  const auto ring = t.ring_snapshot();
+  ASSERT_EQ(ring.size(), 3u);
+  EXPECT_STREQ(ring[1].name, "ops.adaptation");
+  EXPECT_STREQ(ring[2].name, "step");
+  // The trace keeps inclusive durations.
+  EXPECT_NEAR(ring[2].dur_us * 1e-6, self + op, 1e-4);
+}
+
+// --- the per-rank record ---------------------------------------------------
+
+core::DycoreConfig layer_cfg() {
+  core::DycoreConfig c;
+  c.nx = 24;
+  c.ny = 32;
+  c.nz = 8;
+  c.M = 2;
+  return c;
+}
+
+/// Steps the core `make` builds on p ranks.  On every rank the step
+/// span's self time (what no layer span covers) must be at most 10% of
+/// the step's wall, as a median over the steps, and every layer the core
+/// runs must have charged time.
+template <typename MakeCore>
+void expect_layers_add_up(int p, MakeCore make,
+                          const std::vector<util::Phase>& extra_layers) {
+  using util::Phase;
+  std::vector<Phase> layers{Phase::kLocalDiag,  Phase::kColumn,
+                            Phase::kAdaptation, Phase::kAdvection,
+                            Phase::kFilter,     Phase::kSmoothing,
+                            Phase::kUpdate,     Phase::kBoundaryFill};
+  layers.insert(layers.end(), extra_layers.begin(), extra_layers.end());
+  constexpr int kSteps = 7;
+  comm::Runtime::run(p, [&](comm::Context& ctx) {
+    auto core = make(ctx);
+    auto xi = core->make_state();
+    core->initialize(xi, {.kind = state::InitialCondition::kPlanetaryWave});
+    core->step(xi);  // warm-up
+    const util::PhaseTimers& record = ctx.timers();
+    ctx.timers().clear();
+    std::vector<double> self_fraction;
+    for (int s = 0; s < kSteps; ++s) {
+      const double self0 = record[Phase::kStep].seconds;
+      const util::Timer wall;
+      core->step(xi);
+      const double w = wall.seconds();
+      self_fraction.push_back((record[Phase::kStep].seconds - self0) / w);
+    }
+    std::sort(self_fraction.begin(), self_fraction.end());
+    EXPECT_LE(self_fraction[kSteps / 2], 0.10)
+        << "rank " << ctx.world_rank()
+        << ": the layers leave too much of the step unattributed";
+    for (const Phase ph : layers)
+      EXPECT_GT(record[ph].seconds, 0.0)
+          << "rank " << ctx.world_rank() << " never charged "
+          << util::phase_name(ph);
+  });
+}
+
+TEST(PhaseRecord, SerialLayersAddUpToTheStep) {
+  expect_layers_add_up(
+      1,
+      [](comm::Context& ctx) {
+        return std::make_unique<core::SerialCore>(layer_cfg(), &ctx);
+      },
+      {});
+}
+
+TEST(PhaseRecord, OriginalYZLayersAddUpToTheStep) {
+  using util::Phase;
+  expect_layers_add_up(
+      4,
+      [](comm::Context& ctx) {
+        return std::make_unique<core::OriginalCore>(
+            layer_cfg(), ctx, core::DecompScheme::kYZ,
+            std::array<int, 3>{1, 2, 2});
+      },
+      {Phase::kExchange, Phase::kExchangeWait, Phase::kCollective});
+}
+
+TEST(PhaseRecord, CAYZLayersAddUpToTheStep) {
+  using util::Phase;
+  expect_layers_add_up(
+      4,
+      [](comm::Context& ctx) {
+        return std::make_unique<core::CACore>(layer_cfg(), ctx,
+                                              std::array<int, 3>{1, 4, 1});
+      },
+      {Phase::kExchange, Phase::kExchangeWait});
+}
+
 // --- merged multi-rank export ----------------------------------------------
 
 core::DycoreConfig small_cfg() {
@@ -199,8 +326,11 @@ TEST(TraceExport, MultiRankRunMergesIntoValidChromeTrace) {
     if (tid == 0) names0.insert(ev.find("name")->as_string());
   }
   EXPECT_EQ(tids, (std::set<int>{0, 1}));
-  for (const char* expected : {"campaign", "step", "exchange_post",
-                               "exchange_wait", "collective"})
+  for (const char* expected :
+       {"campaign", "step", "exchange_post", "exchange_wait", "collective",
+        "exchange_unpack", "ops.local_diag", "ops.column", "ops.adaptation",
+        "ops.advection", "ops.filter", "ops.smoothing", "core.update",
+        "core.boundary_fill"})
     EXPECT_TRUE(names0.count(expected))
         << "rank 0 timeline lacks span '" << expected << "'";
 
@@ -211,6 +341,53 @@ TEST(TraceExport, MultiRankRunMergesIntoValidChromeTrace) {
   std::stringstream ss;
   ss << in.rdbuf();
   EXPECT_EQ(validate_chrome_trace(util::Json::parse(ss.str())), "");
+}
+
+TEST(TraceExport, FlightDumpHoldsTheLastStepsOperatorSpans) {
+  // One CA step at M = 3 records 123-161 events per rank on a 1x4x1 split
+  // of 120x48x8, so the default 256-event ring keeps a whole step.  (An
+  // original Y-Z 1x2x2 step at M = 3 records 367 and does not fit.)
+  const std::string dir = temp_dir("dump_step");
+  comm::RunOptions opts;
+  opts.obs.dump_dir = dir;
+  ASSERT_EQ(opts.obs.ring_events, 256);
+  core::DycoreConfig c = small_cfg();
+  c.ny = 24;
+  c.M = 3;
+  comm::Runtime::run(2, opts, [&](comm::Context& ctx) {
+    core::CACore core(c, ctx, {1, 2, 1});
+    auto xi = core.make_state();
+    core.initialize(xi, {.kind = state::InitialCondition::kPlanetaryWave});
+    for (int s = 0; s < 3; ++s) core.step(xi);
+    const std::string path = ctx.tracer().dump_flight("after step 3");
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << path;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const util::Json doc = util::Json::parse(ss.str());
+    const auto& events = doc.find("events")->items();
+    ASSERT_FALSE(events.empty());
+    // Spans record when they close, so the last step closes last.
+    const util::Json& step = events.back();
+    ASSERT_EQ(step.find("name")->as_string(), "step");
+    const double t0 = step.find("ts_us")->as_double();
+    const double t1 = t0 + step.find("dur_us")->as_double();
+    EXPECT_LT(events.front().find("ts_us")->as_double(), t0)
+        << "the ring lost the start of the last step";
+    std::set<std::string> names;
+    for (const util::Json& ev : events) {
+      const double ts = ev.find("ts_us")->as_double();
+      if (ts >= t0 && ts <= t1) names.insert(ev.find("name")->as_string());
+    }
+    for (const char* expected :
+         {"exchange_post", "exchange_wait", "exchange_unpack",
+          "ops.local_diag", "ops.column", "ops.adaptation", "ops.advection",
+          "ops.filter", "ops.smoothing", "core.update",
+          "core.boundary_fill"})
+      EXPECT_TRUE(names.count(expected))
+          << "rank " << ctx.world_rank() << "'s dump lacks '" << expected
+          << "' inside its last step";
+  });
 }
 
 // --- obs off = seed behavior ------------------------------------------------

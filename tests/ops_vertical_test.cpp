@@ -35,9 +35,9 @@ struct Fixture {
       for (int i = 0; i < xi.lnx(); ++i)
         xi.psa()(i, j) = 200.0 * std::sin(0.5 * i - 0.7 * j);
     core.fill_boundaries(xi);
-    core::compute_diagnostics(core.op_context(), nullptr, nullptr, xi,
-                              xi.interior(), ws, false,
-                              comm::AllreduceAlgorithm::kAuto, "t");
+    ops::compute_local_diag(core.op_context(), xi, xi.interior(), ws);
+    core::compute_c(core.op_context(), nullptr, nullptr, xi, xi.interior(), ws,
+                    comm::AllreduceAlgorithm::kAuto);
   }
   core::SerialCore core;
   state::State xi;
@@ -68,9 +68,9 @@ TEST(Vertical, DivergenceOfZonalConstantFlowVanishes) {
       for (int i = 0; i < c.nx; ++i) xi.u()(i, j, k) = 12.5;
   core.fill_boundaries(xi);
   DiagWorkspace ws(c.nx, c.ny, c.nz, core::halos_for_depth(1));
-  core::compute_diagnostics(core.op_context(), nullptr, nullptr, xi,
-                            xi.interior(), ws, false,
-                            comm::AllreduceAlgorithm::kAuto, "t");
+  ops::compute_local_diag(core.op_context(), xi, xi.interior(), ws);
+  core::compute_c(core.op_context(), nullptr, nullptr, xi, xi.interior(), ws,
+                  comm::AllreduceAlgorithm::kAuto);
   for (int k = 0; k < c.nz; ++k)
     for (int j = 0; j < c.ny; ++j)
       for (int i = 0; i < c.nx; ++i)
@@ -118,9 +118,9 @@ TEST(Vertical, PhiGeoVanishesForZeroPhi) {
       for (int i = 0; i < c.nx; ++i) xi.u()(i, j, k) = 3.0 * k;
   core.fill_boundaries(xi);
   DiagWorkspace ws(c.nx, c.ny, c.nz, core::halos_for_depth(1));
-  core::compute_diagnostics(core.op_context(), nullptr, nullptr, xi,
-                            xi.interior(), ws, false,
-                            comm::AllreduceAlgorithm::kAuto, "t");
+  ops::compute_local_diag(core.op_context(), xi, xi.interior(), ws);
+  core::compute_c(core.op_context(), nullptr, nullptr, xi, xi.interior(), ws,
+                  comm::AllreduceAlgorithm::kAuto);
   for (int k = 0; k < c.nz; ++k)
     EXPECT_NEAR(ws.vert.phi_geo(3, 3, k), 0.0, 1e-14);
 }
@@ -137,9 +137,9 @@ TEST(Vertical, WarmColumnRaisesGeopotentialAloft) {
       for (int i = 0; i < c.nx; ++i) xi.phi()(i, j, k) = 5.0;
   core.fill_boundaries(xi);
   DiagWorkspace ws(c.nx, c.ny, c.nz, core::halos_for_depth(1));
-  core::compute_diagnostics(core.op_context(), nullptr, nullptr, xi,
-                            xi.interior(), ws, false,
-                            comm::AllreduceAlgorithm::kAuto, "t");
+  ops::compute_local_diag(core.op_context(), xi, xi.interior(), ws);
+  core::compute_c(core.op_context(), nullptr, nullptr, xi, xi.interior(), ws,
+                  comm::AllreduceAlgorithm::kAuto);
   for (int k = 0; k + 1 < c.nz; ++k)
     EXPECT_GT(ws.vert.phi_geo(5, 5, k), ws.vert.phi_geo(5, 5, k + 1))
         << "phi' must increase upward in a warm column";
@@ -192,9 +192,9 @@ TEST_P(ZSplitSweep, DistributedColumnsMatchSerial) {
         xi.psa()(i, j) = ref.xi.psa()(i, j);
 
     DiagWorkspace ws(d.lnx(), d.lny(), d.lnz(), core::halos_for_depth(1));
-    core::compute_diagnostics(ctx, &cc, &topo.line_z, xi, xi.interior(),
-                              ws, false, comm::AllreduceAlgorithm::kAuto,
-                              "t");
+    ops::compute_local_diag(ctx, xi, xi.interior(), ws);
+    core::compute_c(ctx, &cc, &topo.line_z, xi, xi.interior(), ws,
+                    comm::AllreduceAlgorithm::kAuto);
     for (int k = 0; k < d.lnz(); ++k)
       for (int j = 0; j < d.lny(); ++j)
         for (int i = 0; i < d.lnx(); ++i) {

@@ -20,11 +20,11 @@ MachineModel unit_machine() {
 
 SimResult two_phase_result() {
   Schedule s(2);
-  s.add_compute(0, 10.0, "work");   // 1 s
-  s.add_compute(1, 30.0, "work");   // 3 s
-  s.add_isend(0, 1, 1000, "comm");  // 1 s alpha
-  s.add_irecv(1, 0, "comm");
-  s.add_waitall(1, "comm");
+  s.add_compute(0, 10.0, util::Phase::kCompute);   // 1 s
+  s.add_compute(1, 30.0, util::Phase::kCompute);   // 3 s
+  s.add_isend(0, 1, 1000, util::Phase::kStencil);  // 1 s alpha
+  s.add_irecv(1, 0, util::Phase::kStencil);
+  s.add_waitall(1, util::Phase::kStencil);
   return simulate(s, unit_machine());
 }
 
@@ -32,14 +32,14 @@ TEST(Report, SummaryStatistics) {
   auto result = two_phase_result();
   auto rows = summarize(result);
   ASSERT_EQ(rows.size(), 2u);
-  // Sorted by phase name: comm, work.
-  EXPECT_EQ(rows[0].phase, "comm");
-  EXPECT_EQ(rows[1].phase, "work");
-  EXPECT_DOUBLE_EQ(rows[1].max_seconds, 3.0);
-  EXPECT_DOUBLE_EQ(rows[1].avg_seconds, 2.0);
-  EXPECT_DOUBLE_EQ(rows[1].imbalance, 1.5);
-  EXPECT_EQ(rows[0].messages, 1u);
-  EXPECT_EQ(rows[0].bytes, 1000u);
+  // Sorted by phase name: compute, stencil.
+  EXPECT_EQ(rows[0].phase, "compute");
+  EXPECT_EQ(rows[1].phase, "stencil");
+  EXPECT_DOUBLE_EQ(rows[0].max_seconds, 3.0);
+  EXPECT_DOUBLE_EQ(rows[0].avg_seconds, 2.0);
+  EXPECT_DOUBLE_EQ(rows[0].imbalance, 1.5);
+  EXPECT_EQ(rows[1].total.p2p_messages, 1u);
+  EXPECT_EQ(rows[1].total.p2p_bytes, 1000u);
 }
 
 TEST(Report, CriticalRankIsSlowest) {
@@ -53,8 +53,8 @@ TEST(Report, PrintSummaryContainsPhases) {
   print_summary(out, result, "test schedule");
   const std::string text = out.str();
   EXPECT_NE(text.find("test schedule"), std::string::npos);
-  EXPECT_NE(text.find("comm"), std::string::npos);
-  EXPECT_NE(text.find("work"), std::string::npos);
+  EXPECT_NE(text.find("stencil"), std::string::npos);
+  EXPECT_NE(text.find("compute"), std::string::npos);
   EXPECT_NE(text.find("critical rank 1"), std::string::npos);
 }
 
@@ -71,8 +71,8 @@ TEST(Report, CsvHeaderOnceAndRows) {
   for (char c : text)
     if (c == '\n') ++rows;
   EXPECT_EQ(rows, 1 + 4);
-  EXPECT_NE(text.find("run_a,comm"), std::string::npos);
-  EXPECT_NE(text.find("run_b,work"), std::string::npos);
+  EXPECT_NE(text.find("run_a,stencil"), std::string::npos);
+  EXPECT_NE(text.find("run_b,compute"), std::string::npos);
 }
 
 TEST(Report, EmptyScheduleIsHarmless) {

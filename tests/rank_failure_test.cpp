@@ -159,7 +159,7 @@ TEST(RankFailureComm, KilledRankUnwindsInFlightAsyncPosts) {
                            std::vector<core::ExchangeItem> items{
                                {&f, nullptr, 0, 2, 1}};
                            for (int step = 0; step < 3; ++step) {
-                             ex.begin(items, "stencil");
+                             ex.begin(items);
                              ctx.notify_step();  // rank 0 dies at step 1,
                                                  // posts still in flight
                              ex.finish();

@@ -1,8 +1,11 @@
 // The contract that makes the full-scale simulated figures trustworthy:
 // the schedule builders must emit exactly the message counts and byte
 // volumes the functional runtime produces, for both algorithms, across
-// decompositions.
+// decompositions.  Both sides fill the same per-rank record
+// (util::PhaseRecord), compared phase by phase.
 #include <gtest/gtest.h>
+
+#include <mutex>
 
 #include "comm/runtime.hpp"
 #include "core/ca_core.hpp"
@@ -31,17 +34,15 @@ ScheduleParams model_params(const DycoreConfig& c, perf::ProcGrid grid) {
   return p;
 }
 
-struct Traffic {
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t collectives = 0;
-  std::uint64_t collective_bytes = 0;
-};
+using util::Phase;
+using util::PhaseRecord;
 
-/// One steady-state step's traffic of the functional core.
+/// One steady-state step's record of the functional core, summed over
+/// ranks.
 template <typename MakeCore>
-Traffic functional_traffic(int p, MakeCore make, int warmup_steps) {
-  Traffic out;
+PhaseRecord functional_record(int p, MakeCore make, int warmup_steps) {
+  PhaseRecord out;
+  std::mutex mu;
   comm::Runtime::run(p, [&](comm::Context& ctx) {
     auto core = make(ctx);
     auto xi = core->make_state();
@@ -49,47 +50,45 @@ Traffic functional_traffic(int p, MakeCore make, int warmup_steps) {
     opt.kind = state::InitialCondition::kPlanetaryWave;
     core->initialize(xi, opt);
     for (int w = 0; w < warmup_steps; ++w) core->step(xi);
-    const auto s0 = ctx.stats().grand_totals();
+    ctx.stats().record().clear();
     core->step(xi);
-    const auto s1 = ctx.stats().grand_totals();
-    if (ctx.world_rank() == 0) {
-      // Totals are per-rank; aggregate across ranks via a reduce.
-      // Simpler: every rank reports; sum at rank 0 through the world.
-    }
-    std::vector<std::uint64_t> mine{
-        s1.p2p_messages - s0.p2p_messages, s1.p2p_bytes - s0.p2p_bytes,
-        s1.collective_calls - s0.collective_calls,
-        s1.collective_bytes - s0.collective_bytes};
-    // Sum across ranks (collective itself perturbs counts only after we
-    // snapshot).
-    std::vector<long long> in{static_cast<long long>(mine[0]),
-                              static_cast<long long>(mine[1]),
-                              static_cast<long long>(mine[2]),
-                              static_cast<long long>(mine[3])};
-    std::vector<long long> sum(4);
-    comm::allreduce<long long>(ctx, ctx.world(), in, sum,
-                               comm::ReduceOp::kSum);
-    if (ctx.world_rank() == 0) {
-      out.messages = static_cast<std::uint64_t>(sum[0]);
-      out.bytes = static_cast<std::uint64_t>(sum[1]);
-      out.collectives = static_cast<std::uint64_t>(sum[2]);
-      out.collective_bytes = static_cast<std::uint64_t>(sum[3]);
-    }
+    std::lock_guard<std::mutex> lock(mu);
+    for (std::size_t ph = 0; ph < util::kPhaseCount; ++ph)
+      out[static_cast<Phase>(ph)] +=
+          ctx.stats().record()[static_cast<Phase>(ph)];
   });
   return out;
 }
 
-Traffic modeled_traffic(const perf::Schedule& schedule) {
+/// The simulated record of the schedule, summed over ranks.
+PhaseRecord modelled_record(const perf::Schedule& schedule) {
+  PhaseRecord out;
   const auto result = perf::simulate(schedule, perf::MachineModel::tianhe2());
-  Traffic t;
-  t.messages = result.phase_total_messages(kPhaseStencil);
-  t.bytes = result.phase_total_bytes(kPhaseStencil);
-  t.collective_bytes = result.phase_total_collective_bytes(kPhaseCollective);
-  for (const auto& r : result.ranks) {
-    auto it = r.phases.find(kPhaseCollective);
-    if (it != r.phases.end()) t.collectives += it->second.collectives;
+  for (std::size_t ph = 0; ph < util::kPhaseCount; ++ph)
+    out[static_cast<Phase>(ph)] = result.phase_total(static_cast<Phase>(ph));
+  return out;
+}
+
+/// Stencil against stencil and collective against collective: the same
+/// messages, bytes and collective calls (seconds are measured on one side,
+/// modelled on the other).  `collective_bytes` is off where the model
+/// prices the distributed filter as the paper's butterfly and the
+/// functional core runs an allgather (X-Y and 3-D).
+void expect_same_traffic(const PhaseRecord& model, const PhaseRecord& func,
+                         bool collective_bytes = true) {
+  for (const Phase ph : {Phase::kStencil, Phase::kCollective}) {
+    SCOPED_TRACE(util::phase_name(ph));
+    EXPECT_EQ(model[ph].p2p_messages, func[ph].p2p_messages);
+    EXPECT_EQ(model[ph].p2p_bytes, func[ph].p2p_bytes);
+    EXPECT_EQ(model[ph].collective_calls, func[ph].collective_calls);
+    if (collective_bytes) {
+      EXPECT_EQ(model[ph].collective_bytes, func[ph].collective_bytes);
+    }
   }
-  return t;
+  // Nothing travels under any other phase in a step.
+  EXPECT_EQ(func.sum().p2p_messages, func[Phase::kStencil].p2p_messages);
+  EXPECT_EQ(func.sum().collective_calls,
+            func[Phase::kCollective].collective_calls);
 }
 
 struct MatchCase {
@@ -106,24 +105,18 @@ TEST_P(OriginalYZMatch, StencilTrafficMatchesExactly) {
   const auto c = func_config();
   const auto dims = GetParam().dims;
   const int p = dims[0] * dims[1] * dims[2];
-  Traffic func = functional_traffic(
+  const PhaseRecord func = functional_record(
       p,
       [&](comm::Context& ctx) {
         return std::make_unique<OriginalCore>(c, ctx, DecompScheme::kYZ,
                                               dims);
       },
       /*warmup=*/0);
-  auto sched = build_original_schedule(
+  const PhaseRecord model = modelled_record(build_original_schedule(
       model_params(c, {dims[0], dims[1], dims[2]}),
-      perf::MachineModel::tianhe2());
-  Traffic model = modeled_traffic(sched);
-  EXPECT_EQ(model.messages, func.messages);
-  EXPECT_EQ(model.bytes, func.bytes);
-  EXPECT_EQ(model.collectives, func.collectives);
-  // The z-line collectives carry the same bytes.  (X-Y and 3-D are left
-  // out on purpose: there the model prices the distributed filter as the
-  // paper's butterfly, the functional core as an allgather.)
-  EXPECT_EQ(model.collective_bytes, func.collective_bytes);
+      perf::MachineModel::tianhe2()));
+  // The z-line collectives carry the same bytes too.
+  expect_same_traffic(model, func);
 }
 
 INSTANTIATE_TEST_SUITE_P(Decomps, OriginalYZMatch,
@@ -142,20 +135,17 @@ TEST_P(OriginalXYMatch, StencilTrafficMatchesExactly) {
   const auto c = func_config();
   const auto dims = GetParam().dims;
   const int p = dims[0] * dims[1] * dims[2];
-  Traffic func = functional_traffic(
+  const PhaseRecord func = functional_record(
       p,
       [&](comm::Context& ctx) {
         return std::make_unique<OriginalCore>(c, ctx, DecompScheme::kXY,
                                               dims);
       },
       0);
-  auto sched = build_original_schedule(
+  const PhaseRecord model = modelled_record(build_original_schedule(
       model_params(c, {dims[0], dims[1], dims[2]}),
-      perf::MachineModel::tianhe2());
-  Traffic model = modeled_traffic(sched);
-  EXPECT_EQ(model.messages, func.messages);
-  EXPECT_EQ(model.bytes, func.bytes);
-  EXPECT_EQ(model.collectives, func.collectives);
+      perf::MachineModel::tianhe2()));
+  expect_same_traffic(model, func, /*collective_bytes=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Decomps, OriginalXYMatch,
@@ -172,20 +162,17 @@ TEST_P(Original3DMatch, StencilTrafficMatchesExactly) {
   const auto c = func_config();
   const auto dims = GetParam().dims;
   const int p = dims[0] * dims[1] * dims[2];
-  Traffic func = functional_traffic(
+  const PhaseRecord func = functional_record(
       p,
       [&](comm::Context& ctx) {
         return std::make_unique<OriginalCore>(c, ctx, DecompScheme::k3D,
                                               dims);
       },
       0);
-  auto sched = build_original_schedule(
+  const PhaseRecord model = modelled_record(build_original_schedule(
       model_params(c, {dims[0], dims[1], dims[2]}),
-      perf::MachineModel::tianhe2());
-  Traffic model = modeled_traffic(sched);
-  EXPECT_EQ(model.messages, func.messages);
-  EXPECT_EQ(model.bytes, func.bytes);
-  EXPECT_EQ(model.collectives, func.collectives);
+      perf::MachineModel::tianhe2()));
+  expect_same_traffic(model, func, /*collective_bytes=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Decomps, Original3DMatch,
@@ -204,7 +191,7 @@ TEST_P(CAMatch, StencilTrafficMatchesExactly) {
   const int p = dims[0] * dims[1] * dims[2];
   // Steady-state step (the first step skips the fused smoothing and seeds
   // the column anchors): warm up one step.
-  Traffic func = functional_traffic(
+  const PhaseRecord func = functional_record(
       p,
       [&](comm::Context& ctx) {
         return std::make_unique<CACore>(c, ctx, dims, ca);
@@ -212,12 +199,9 @@ TEST_P(CAMatch, StencilTrafficMatchesExactly) {
       /*warmup=*/1);
   ScheduleParams params = model_params(c, {dims[0], dims[1], dims[2]});
   params.ca = ca;
-  auto sched = build_ca_schedule(params, perf::MachineModel::tianhe2());
-  Traffic model = modeled_traffic(sched);
-  EXPECT_EQ(model.messages, func.messages);
-  EXPECT_EQ(model.bytes, func.bytes);
-  EXPECT_EQ(model.collectives, func.collectives);
-  EXPECT_EQ(model.collective_bytes, func.collective_bytes);
+  const PhaseRecord model = modelled_record(
+      build_ca_schedule(params, perf::MachineModel::tianhe2()));
+  expect_same_traffic(model, func);
 }
 
 INSTANTIATE_TEST_SUITE_P(Decomps, CAMatch,

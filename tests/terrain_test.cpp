@@ -155,7 +155,7 @@ TEST(Terrain, DistributedRunMatchesSerial) {
     state::apply_terrain_surface_pressure(xi, core.strat()
                                               /* via op_context */,
                                           terrain, core.decomp());
-    core.refresh_halos(xi, "init");
+    core.refresh_halos(xi);
     core.run(xi, 2);
     auto g = core::gather_global(core.op_context(), ctx, core.topology(),
                                  xi);

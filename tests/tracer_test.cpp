@@ -27,9 +27,9 @@ struct Fixture {
     opt.kind = state::InitialCondition::kZonalJet;
     core.initialize(xi, opt);
     core.fill_boundaries(xi);
-    core::compute_diagnostics(core.op_context(), nullptr, nullptr, xi,
-                              xi.interior(), ws, false,
-                              comm::AllreduceAlgorithm::kAuto, "t");
+    ops::compute_local_diag(core.op_context(), xi, xi.interior(), ws);
+    core::compute_c(core.op_context(), nullptr, nullptr, xi, xi.interior(), ws,
+                    comm::AllreduceAlgorithm::kAuto);
   }
   core::SerialCore core;
   state::State xi;
@@ -43,9 +43,9 @@ TEST(Tracer, ConstantTracerHasZeroTendencyInNondivergentColumns) {
   Fixture f;
   f.xi.fill(0.0);
   f.core.fill_boundaries(f.xi);
-  core::compute_diagnostics(f.core.op_context(), nullptr, nullptr, f.xi,
-                            f.xi.interior(), f.ws, false,
-                            comm::AllreduceAlgorithm::kAuto, "t");
+  ops::compute_local_diag(f.core.op_context(), f.xi, f.xi.interior(), f.ws);
+  core::compute_c(f.core.op_context(), nullptr, nullptr, f.xi, f.xi.interior(),
+                  f.ws, comm::AllreduceAlgorithm::kAuto);
   f.q.fill(4.0);
   TracerAdvection adv(f.core.op_context(), f.xi, f.ws.local, f.ws.vert);
   util::Array3D<double> dq(32, 16, 8, f.q.halo());

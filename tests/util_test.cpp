@@ -332,16 +332,29 @@ TEST(Timer, MeasuresElapsed) {
 
 TEST(PhaseTimers, AccumulatesByPhase) {
   PhaseTimers pt;
-  pt.add("a", 0.25);
-  pt.add("b", 0.5);
-  pt.add("a", 0.125);
-  EXPECT_DOUBLE_EQ(pt.total("a"), 0.375);
-  EXPECT_DOUBLE_EQ(pt.total("b"), 0.5);
-  EXPECT_DOUBLE_EQ(pt.total("c"), 0.0);
-  EXPECT_EQ(pt.totals().size(), 2u);
+  pt[Phase::kExchange].seconds += 0.25;
+  pt[Phase::kCollective].seconds += 0.5;
+  pt[Phase::kExchange].seconds += 0.125;
+  pt[Phase::kStencil].p2p_messages += 3;
+  EXPECT_DOUBLE_EQ(pt.total("exchange"), 0.375);
+  EXPECT_DOUBLE_EQ(pt.total("collective"), 0.5);
+  EXPECT_DOUBLE_EQ(pt.total("exchange_wait"), 0.0);
+  EXPECT_DOUBLE_EQ(pt.total("no such phase"), 0.0);
+  EXPECT_DOUBLE_EQ(pt.sum().seconds, 0.875);
+  EXPECT_EQ(pt.sum().p2p_messages, 3u);
   pt.clear();
-  EXPECT_DOUBLE_EQ(pt.total("a"), 0.0);
-  EXPECT_TRUE(pt.totals().empty());
+  EXPECT_DOUBLE_EQ(pt.total("exchange"), 0.0);
+  EXPECT_EQ(pt.sum(), PhaseStats{});
+}
+
+TEST(PhaseTimers, EveryPhaseHasItsOwnName) {
+  PhaseTimers pt;
+  for (std::size_t i = 0; i < kPhaseCount; ++i)
+    pt[static_cast<Phase>(i)].seconds = static_cast<double>(i + 1);
+  for (std::size_t i = 0; i < kPhaseCount; ++i)
+    EXPECT_DOUBLE_EQ(pt.total(phase_name(static_cast<Phase>(i))),
+                     static_cast<double>(i + 1))
+        << phase_name(static_cast<Phase>(i));
 }
 
 TEST(Math, FloorDivAndMod) {
