@@ -244,6 +244,7 @@ int main(int argc, char** argv) {
   opt.rank_budget = budget;
   opt.queue_capacity = 64;
   opt.checkpoint_dir = dir;
+  opt.obs.dump_dir = dir;  // flight dumps of the fault legs stay out of cwd
 
   bool ok = true;
   std::vector<MixOutcome> mixes;
@@ -580,6 +581,7 @@ int main(int argc, char** argv) {
     service::AttemptOptions o1;
     o1.attempt = 1;
     o1.checkpoint_prefix = rdir + "/job";
+    o1.obs.dump_dir = dir;
     o1.replicas = &store;
     o1.delta_chain = 4;
     const service::AttemptResult a1 = service::run_attempt(twin, o1);
@@ -764,7 +766,6 @@ int main(int argc, char** argv) {
     service::ServiceOptions topt = opt;
     topt.obs.trace = true;
     topt.obs.ring_events = 1 << 14;
-    topt.obs.dump_dir = dir;
     topt.trace_sink = &collector;
 
     service::JobSpec victim =

@@ -3,6 +3,7 @@
 // map — the classic first picture of any atmospheric-model substrate.
 //
 //   ./shallow_water_demo [nx=72] [ny=36] [steps=120] [ranks=2]
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
     report(0);
     for (int n = 0; n < steps; ++n) {
       core.step(s);
-      if ((n + 1) % (steps / 4) == 0) report(n + 1);
+      if ((n + 1) % std::max(1, steps / 4) == 0) report(n + 1);
     }
 
     // ASCII height-anomaly map, rows printed rank by rank.

@@ -153,23 +153,6 @@ void Context::wait(Request& req) {
   req.done_ = true;
 }
 
-bool Context::test(Request& req) {
-  if (req.done_) return true;
-  std::optional<Message> msg =
-      mailbox_of(world_rank_).try_receive(req.comm_id_, req.src_, req.tag_);
-  if (!msg.has_value()) return false;
-  if (msg->payload.size() != req.recv_buffer_.size())
-    throw std::runtime_error("test: message size mismatch");
-  std::memcpy(req.recv_buffer_.data(), msg->payload.data(),
-              msg->payload.size());
-  req.done_ = true;
-  return true;
-}
-
-void Context::waitall(std::span<Request> reqs) {
-  for (auto& r : reqs) wait(r);
-}
-
 Communicator Context::split(const Communicator& parent, int color, int key) {
   struct Entry {
     int color, key, parent_rank;

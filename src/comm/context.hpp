@@ -67,13 +67,6 @@ class Context {
   Request irecv(const Communicator& comm, int src, int tag,
                 std::span<std::byte> data);
   void wait(Request& req);
-  /// Nonblocking completion probe: true when the request is done (a
-  /// matching message was consumed into the receive buffer, or the
-  /// request was already complete).  Under an active FaultPlan each call
-  /// is one receive poll, so a pure test() loop still ages delayed
-  /// messages and triggers drop retransmission.
-  bool test(Request& req);
-  void waitall(std::span<Request> reqs);
 
   // Typed convenience overloads.
   template <typename T>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/config.hpp"
 
 namespace ca::comm {
 namespace {
@@ -186,70 +185,6 @@ FaultPlan::StateFault FaultPlan::state_fault(int rank,
     }
   }
   return sf;
-}
-
-FaultPlan FaultPlan::from_config(const util::Config& cfg) {
-  const util::Config f = cfg.subset("faults.");
-  FaultPlan plan(static_cast<std::uint64_t>(f.get_long("seed", 0)));
-  plan.set_enabled(f.get_bool("enabled", true));
-
-  FaultRule scope;
-  scope.phase = f.get_string("phase", "");
-  scope.tag = f.get_int("tag", kAnyTag);
-  scope.src = f.get_int("src", kAnySource);
-  scope.dst = f.get_int("dst", kAnySource);
-
-  auto add = [&](FaultKind kind, const char* key, int param) {
-    const double p = f.get_double(key, 0.0);
-    if (p <= 0.0) return;
-    FaultRule r = scope;
-    r.kind = kind;
-    r.probability = p;
-    r.param = param;
-    plan.add_rule(r);
-  };
-  add(FaultKind::kDelay, "delay", f.get_int("delay_polls", 3));
-  add(FaultKind::kDuplicate, "duplicate", 1);
-  add(FaultKind::kDrop, "drop", 1);
-  add(FaultKind::kCorrupt, "corrupt", f.get_int("corrupt_bytes", 1));
-  add(FaultKind::kStall, "stall", f.get_int("stall_polls", 50));
-
-  // Process-level faults: probability rolled per step unless a fixed
-  // trigger step is given (faults.kill_step / faults.hang_step).
-  auto add_step = [&](FaultKind kind, const char* key, const char* step_key,
-                      int param) {
-    const double p = f.get_double(key, 0.0);
-    const int step = f.get_int(step_key, -1);
-    if (p <= 0.0 && step < 0) return;
-    FaultRule r = scope;
-    r.kind = kind;
-    r.probability = p;
-    r.param = param;
-    r.step = step;
-    plan.add_rule(r);
-  };
-  add_step(FaultKind::kKillRank, "kill_rank", "kill_step", 1);
-  add_step(FaultKind::kHangRank, "hang_rank", "hang_step",
-           f.get_int("hang_ms", 500));
-
-  // Numerical fault: poke one prognostic cell on the scoped rank.  Fires
-  // on attempt 1 only by default — the point of the chaos suite is to
-  // prove the ROLLBACK completes clean, so the retry must not re-poke.
-  {
-    const double p = f.get_double("corrupt_state", 0.0);
-    const int step = f.get_int("corrupt_state_step", -1);
-    if (p > 0.0 || step >= 0) {
-      FaultRule r = scope;
-      r.kind = FaultKind::kCorruptState;
-      r.probability = p;
-      r.step = step;
-      r.param = f.get_int("corrupt_state_field", 0) * 10 +
-                f.get_int("corrupt_state_mode", 0);
-      r.attempt = f.get_int("corrupt_state_attempt", 1);
-      plan.add_rule(r);
-    }
-  }
-  return plan;
 }
 
 }  // namespace ca::comm

@@ -18,7 +18,7 @@
 //                 step boundary (Context::notify_step).
 //
 // The plan also owns the injected/detected/recovered counters (shared by
-// all ranks of a run) summarized as comm::FaultSummary for perf/report.
+// all ranks of a run), snapshotted as comm::FaultSummary.
 #pragma once
 
 #include <atomic>
@@ -30,10 +30,6 @@
 
 #include "comm/message.hpp"
 #include "comm/stats.hpp"
-
-namespace ca::util {
-class Config;
-}
 
 namespace ca::comm {
 
@@ -115,19 +111,8 @@ class FaultPlan {
   FaultPlan() = default;
   explicit FaultPlan(std::uint64_t seed) : seed_(seed) {}
 
-  /// Builds a plan from a `faults.*` config block (see README):
-  /// faults.enabled, faults.seed, per-kind probabilities faults.drop /
-  /// duplicate / delay / corrupt / stall, the shared scope faults.phase /
-  /// tag / src / dst, and the parameters faults.delay_polls /
-  /// corrupt_bytes / stall_polls.  Numerical faults read
-  /// faults.corrupt_state (probability), corrupt_state_step,
-  /// corrupt_state_mode, corrupt_state_field, and corrupt_state_attempt
-  /// (default 1: fire on the first attempt only, so the retry is clean).
-  static FaultPlan from_config(const util::Config& cfg);
-
   void add_rule(FaultRule rule) { rules_.push_back(std::move(rule)); }
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_ && !rules_.empty(); }
+  bool enabled() const { return !rules_.empty(); }
   std::uint64_t seed() const { return seed_; }
   const std::vector<FaultRule>& rules() const { return rules_; }
 
@@ -179,7 +164,6 @@ class FaultPlan {
   FaultSummary summary() const { return counters_->summary(); }
 
  private:
-  bool enabled_ = true;
   std::uint64_t seed_ = 0;
   int attempt_ = 1;
   std::vector<FaultRule> rules_;

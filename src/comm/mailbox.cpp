@@ -136,7 +136,7 @@ Message Mailbox::receive(std::uint64_t comm_id, int src, int tag) {
   const RunOptions& opts = options_ != nullptr ? *options_ : default_options();
   const bool faulty = opts.faults != nullptr && opts.faults->enabled();
   // Watchdog: while blocked, keep stamping our own heartbeat and check the
-  // awaited peer's.  Only active when comm.heartbeat_timeout > 0, so the
+  // awaited peer's.  Only active when opts.heartbeat_timeout > 0, so the
   // fault-free fast path keeps its single bounded wait.
   const bool watch = health_ != nullptr && self_rank_ >= 0 &&
                      opts.heartbeat_timeout.count() > 0;
@@ -200,26 +200,6 @@ Message Mailbox::receive(std::uint64_t comm_id, int src, int tag) {
       cv_.wait_until(lock, deadline);
     }
   }
-}
-
-std::optional<Message> Mailbox::try_receive(std::uint64_t comm_id, int src,
-                                            int tag) {
-  const RunOptions& opts = options_ != nullptr ? *options_ : default_options();
-  const bool faulty = opts.faults != nullptr && opts.faults->enabled();
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Each probe counts as one receive poll so a nonblocking test() loop
-  // makes the same recovery progress a blocking receive would: delayed
-  // entries age toward visibility and withheld ("dropped") entries are
-  // retransmitted.
-  if (faulty) poll_locked(comm_id, src, tag);
-  auto m = match_locked(comm_id, src, tag);
-  if (m) verify(*m);
-  return m;
-}
-
-std::size_t Mailbox::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 }  // namespace ca::comm

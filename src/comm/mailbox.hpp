@@ -63,14 +63,6 @@ class Mailbox {
   /// matched payload fails verification.
   Message receive(std::uint64_t comm_id, int src, int tag);
 
-  /// Non-blocking probe-and-take.  Under an active FaultPlan the probe
-  /// doubles as one receive poll (ages delays, requests retransmission of
-  /// withheld entries) and verifies the checksum of a matched payload.
-  std::optional<Message> try_receive(std::uint64_t comm_id, int src, int tag);
-
-  /// Number of queued messages (for tests / leak checks).
-  std::size_t pending() const;
-
  private:
   struct Entry {
     Message msg;

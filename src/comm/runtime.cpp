@@ -9,22 +9,8 @@
 #include "comm/context.hpp"
 #include "comm/error.hpp"
 #include "comm/fault.hpp"
-#include "util/config.hpp"
 
 namespace ca::comm {
-
-RunOptions RunOptions::from_config(const util::Config& cfg) {
-  RunOptions opts;
-  opts.recv_timeout = std::chrono::milliseconds(
-      cfg.get_long("comm.timeout_ms", 120000));
-  opts.poll_interval =
-      std::chrono::microseconds(cfg.get_long("comm.poll_us", 200));
-  opts.max_resends = cfg.get_int("comm.max_resends", 1);
-  opts.heartbeat_timeout =
-      std::chrono::milliseconds(cfg.get_long("comm.heartbeat_timeout", 0));
-  opts.obs = obs::TraceOptions::from_config(cfg);
-  return opts;
-}
 
 World::World(int nranks, const RunOptions& options)
     : options_(options), health_(nranks) {

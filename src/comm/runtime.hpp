@@ -19,10 +19,6 @@
 #include "comm/mailbox.hpp"
 #include "obs/trace.hpp"
 
-namespace ca::util {
-class Config;
-}
-
 namespace ca::comm {
 
 class Context;
@@ -56,11 +52,6 @@ struct RunOptions {
   /// job id; standalone runs keep 0).
   obs::TraceCollector* trace_sink = nullptr;
   int trace_pid = 0;
-
-  /// Reads comm.timeout_ms / comm.poll_us / comm.max_resends /
-  /// comm.heartbeat_timeout plus the obs.* block (the fault plan itself
-  /// comes from FaultPlan::from_config).
-  static RunOptions from_config(const util::Config& cfg);
 };
 
 /// Shared state of one SPMD execution.

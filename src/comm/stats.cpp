@@ -13,10 +13,6 @@ std::uint64_t FaultSummary::detected_total() const {
          detected_numeric;
 }
 
-std::uint64_t FaultSummary::recovered_total() const {
-  return recovered_delay + recovered_duplicate + recovered_drop;
-}
-
 void CommStats::enter_collective() { ++collective_depth_; }
 
 void CommStats::leave_collective() {

@@ -43,7 +43,6 @@ struct FaultSummary {
 
   std::uint64_t injected_total() const;
   std::uint64_t detected_total() const;
-  std::uint64_t recovered_total() const;
 };
 
 /// Buffer-pool behavior of the hot communication paths (halo pack/recv

@@ -44,38 +44,4 @@ CartTopology make_cart(Context& ctx, const Communicator& comm,
   return topo;
 }
 
-namespace {
-
-std::array<int, 2> balanced_pair(int p, int max_a, int max_b) {
-  // Largest factor a of p with a <= max_a and p/a <= max_b, preferring the
-  // most square split.
-  int best_a = -1;
-  for (int a = 1; a <= p; ++a) {
-    if (p % a != 0) continue;
-    const int b = p / a;
-    if (a > max_a || b > max_b) continue;
-    if (best_a < 0 ||
-        std::abs(a - b) < std::abs(best_a - p / best_a))
-      best_a = a;
-  }
-  if (best_a < 0)
-    throw std::invalid_argument("no valid factorization of p under limits");
-  return {best_a, p / best_a};
-}
-
-}  // namespace
-
-std::array<int, 3> balanced_dims_yz(int p, int max_py, int max_pz) {
-  auto [py, pz] = balanced_pair(p, max_py, max_pz);
-  // Prefer more ranks along y (ny is larger than nz in practice).
-  if (py < pz && pz <= max_py && py <= max_pz) std::swap(py, pz);
-  return {1, py, pz};
-}
-
-std::array<int, 3> balanced_dims_xy(int p, int max_px, int max_py) {
-  auto [px, py] = balanced_pair(p, max_px, max_py);
-  if (px < py && py <= max_px && px <= max_py) std::swap(px, py);
-  return {px, py, 1};
-}
-
 }  // namespace ca::comm

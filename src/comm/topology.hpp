@@ -36,11 +36,4 @@ struct CartTopology {
 CartTopology make_cart(Context& ctx, const Communicator& comm,
                        std::array<int, 3> dims, std::array<bool, 3> periodic);
 
-/// Factors p into {px, py, pz} with px fixed (e.g. 1 for Y-Z decomposition)
-/// choosing py >= pz as balanced as possible with py <= max_py, pz <= max_pz.
-std::array<int, 3> balanced_dims_yz(int p, int max_py, int max_pz);
-
-/// Factors p into {px, py, 1} for X-Y decomposition.
-std::array<int, 3> balanced_dims_xy(int p, int max_px, int max_py);
-
 }  // namespace ca::comm

@@ -107,26 +107,6 @@ std::vector<double> zonal_mean_t(const ops::OpContext& ctx,
   return out;
 }
 
-double cfl_estimate(const ops::OpContext& ctx, const state::State& xi,
-                    double dt) {
-  const auto& decomp = *ctx.decomp;
-  const double a = ctx.mesh->radius();
-  double cfl = 0.0;
-  for (int k = 0; k < decomp.lnz(); ++k) {
-    for (int j = 0; j < decomp.lny(); ++j) {
-      const double dx_eff = a * ctx.sin_t(j) * ctx.mesh->dlambda();
-      const double dy = a * ctx.mesh->dtheta();
-      for (int i = 0; i < decomp.lnx(); ++i) {
-        const double pu = state::p_factor_u(xi.psa(), *ctx.strat, i, j);
-        const double pv = state::p_factor_v(xi.psa(), *ctx.strat, i, j);
-        cfl = std::max(cfl, std::abs(xi.u()(i, j, k) / pu) * dt / dx_eff);
-        cfl = std::max(cfl, std::abs(xi.v()(i, j, k) / pv) * dt / dy);
-      }
-    }
-  }
-  return cfl;
-}
-
 std::vector<double> zonal_spectrum(const ops::OpContext& ctx,
                                    const util::Array3D<double>& f, int j,
                                    int k) {

@@ -46,11 +46,6 @@ std::vector<double> zonal_mean_u(const ops::OpContext& ctx,
 std::vector<double> zonal_mean_t(const ops::OpContext& ctx,
                                  const state::State& xi, int k);
 
-/// Largest advective CFL number max(|u| dt/dx_eff, |v| dt/dy) over the
-/// block (dx_eff shrinks with sin(theta) toward the poles).
-double cfl_estimate(const ops::OpContext& ctx, const state::State& xi,
-                    double dt);
-
 /// Zonal power spectrum |F_m|^2 of a field's latitude circle (local row
 /// j, level k), for wavenumbers m = 0..nx/2.  Requires the rank to own
 /// full circles (Y-Z decomposition).  Used to verify the polar filter's

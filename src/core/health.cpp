@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "util/config.hpp"
 
 namespace ca::core {
 namespace {
@@ -21,22 +20,6 @@ std::string fmt(double v) {
 }
 
 }  // namespace
-
-HealthOptions HealthOptions::from_config(const util::Config& cfg) {
-  // Full keys, not cfg.subset("health."): the CA_AGCM_HEALTH_* env
-  // overrides resolve against the full dotted name.
-  HealthOptions o;
-  o.cadence = cfg.get_int("health.cadence", 1);
-  o.max_wind = cfg.get_double("health.max_wind", o.max_wind);
-  o.max_phi = cfg.get_double("health.max_phi", o.max_phi);
-  o.max_psa = cfg.get_double("health.max_psa", o.max_psa);
-  o.max_energy_growth =
-      cfg.get_double("health.max_energy_growth", o.max_energy_growth);
-  o.max_mass_growth =
-      cfg.get_double("health.max_mass_growth", o.max_mass_growth);
-  o.growth_warmup = cfg.get_int("health.growth_warmup", o.growth_warmup);
-  return o;
-}
 
 std::string HealthSentinel::check_static(const HealthOptions& opts,
                                          const GlobalDiag& d) {

@@ -29,10 +29,6 @@
 
 #include "core/diagnostics.hpp"
 
-namespace ca::util {
-class Config;
-}
-
 namespace ca::core {
 
 /// The model state went numerically bad (NaN/Inf, out-of-bounds field,
@@ -51,12 +47,13 @@ struct NumericalError : std::runtime_error {
   std::string reason;
 };
 
-/// Sentinel knobs (config block `health.*`, env CA_AGCM_HEALTH_*).  The
-/// default-constructed options are OFF (cadence 0) so plain campaigns
-/// keep their exact message counts; the ensemble service turns the
-/// sentinel ON by default (cadence 1, see PoolOptions).  The bounds are
-/// deliberately loose — an order of magnitude past anything a sane
-/// integration produces — so a healthy run never trips them.
+/// Sentinel knobs (a WorkerPool applies the CA_AGCM_HEALTH_* env
+/// overrides to its copy).  The default-constructed options are OFF
+/// (cadence 0) so plain campaigns keep their exact message counts; the
+/// ensemble service turns the sentinel ON by default (cadence 1, see
+/// PoolOptions).  The bounds are deliberately loose — an order of
+/// magnitude past anything a sane integration produces — so a healthy
+/// run never trips them.
 struct HealthOptions {
   /// Check every N steps (absolute step numbering, like the diagnostics
   /// and checkpoint cadences, so a resumed run checks at the same steps
@@ -82,13 +79,6 @@ struct HealthOptions {
   int growth_warmup = 2;
 
   bool enabled() const { return cadence > 0; }
-
-  /// Reads health.cadence / max_wind / max_phi / max_psa /
-  /// max_energy_growth / max_mass_growth / growth_warmup (each with the
-  /// usual CA_AGCM_* environment override).  The cadence default here is
-  /// 1 — "on" — the service-facing default; campaign users opt in
-  /// explicitly.
-  static HealthOptions from_config(const util::Config& cfg);
 };
 
 /// Stateful checker: holds the running-max integral scales for the growth

@@ -291,13 +291,4 @@ void RealPlan::inverse(std::span<const cplx> spectrum,
   }
 }
 
-void fft(std::span<cplx> data, bool inverse) {
-  Plan plan(data.size());
-  if (inverse) {
-    plan.inverse(data);
-  } else {
-    plan.forward(data);
-  }
-}
-
 }  // namespace ca::fft

@@ -54,9 +54,6 @@ class Plan {
   std::vector<cplx> roots_;     // forward p-th roots of generic stages
 };
 
-/// Convenience one-shot transforms (allocate a Plan internally).
-void fft(std::span<cplx> data, bool inverse = false);
-
 /// Real-input transform via the N/2 complex-FFT trick (even n only):
 /// packs adjacent real pairs into complex values, transforms, and
 /// unpacks with the split formula.  spectrum has n/2+1 bins (DC..Nyquist).

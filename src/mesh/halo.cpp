@@ -39,15 +39,6 @@ Box recv_box(int lnx, int lny, int lnz, int dx, int dy, int dz, int wx,
 }
 
 void pack_box(const util::Array3D<double>& a, const Box& box,
-              std::vector<double>& out) {
-  out.resize(static_cast<std::size_t>(box.volume()));
-  std::size_t idx = 0;
-  for (int k = box.k0; k < box.k1; ++k)
-    for (int j = box.j0; j < box.j1; ++j)
-      for (int i = box.i0; i < box.i1; ++i) out[idx++] = a(i, j, k);
-}
-
-void pack_box(const util::Array3D<double>& a, const Box& box,
               std::span<double> out) {
   if (out.size() != static_cast<std::size_t>(box.volume()))
     throw std::invalid_argument("pack_box: buffer/box size mismatch");

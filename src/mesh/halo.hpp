@@ -6,7 +6,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "util/array3d.hpp"
 
@@ -54,12 +53,8 @@ Box send_box(int lnx, int lny, int lnz, int dx, int dy, int dz, int wx,
 Box recv_box(int lnx, int lny, int lnz, int dx, int dy, int dz, int wx,
              int wy, int wz);
 
-/// Copies box contents into out (x-fastest order); out is resized.
-void pack_box(const util::Array3D<double>& a, const Box& box,
-              std::vector<double>& out);
-
-/// Same into a caller-owned buffer of exactly box.volume() doubles — the
-/// allocation-free variant the pooled halo exchange uses.
+/// Copies box contents (x-fastest order) into a caller-owned buffer of
+/// exactly box.volume() doubles.
 void pack_box(const util::Array3D<double>& a, const Box& box,
               std::span<double> out);
 

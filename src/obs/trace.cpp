@@ -21,15 +21,6 @@ const auto kEpochAnchor = process_epoch();
 
 }  // namespace
 
-TraceOptions TraceOptions::from_config(const util::Config& cfg) {
-  TraceOptions o;
-  o.trace = cfg.get_bool("obs.trace", o.trace);
-  o.dump_on_failure = cfg.get_bool("obs.dump_on_failure", o.dump_on_failure);
-  o.ring_events = cfg.get_int("obs.ring_events", o.ring_events);
-  o.dump_dir = cfg.get_string("obs.dump_dir", o.dump_dir);
-  return o;
-}
-
 TraceOptions TraceOptions::env_resolved() const {
   // An empty Config still resolves CA_AGCM_* environment overrides, so the
   // operator can force tracing on (or dumps off) for a whole run without

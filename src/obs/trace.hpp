@@ -30,10 +30,6 @@
 #include "util/json.hpp"
 #include "util/timer.hpp"
 
-namespace ca::util {
-class Config;
-}
-
 namespace ca::obs {
 
 /// Runtime observability knobs, all env-overridable (CA_AGCM_OBS_*).
@@ -47,8 +43,6 @@ struct TraceOptions {
   /// Directory receiving obs_dump_rank<r>.json flight dumps.
   std::string dump_dir = ".";
 
-  /// Reads obs.trace / obs.dump_on_failure / obs.ring_events / obs.dump_dir.
-  static TraceOptions from_config(const util::Config& cfg);
   /// This options value with CA_AGCM_OBS_* environment overrides applied on
   /// top (same pattern as the service.replicate env default): programmatic
   /// settings survive unless the operator exported an override.

@@ -25,13 +25,6 @@ bool FourierFilter::row_active(int gj) const {
   return theta < band_ || theta > util::kPi - band_;
 }
 
-int FourierFilter::active_rows(int gj0, int gj1) const {
-  int n = 0;
-  for (int gj = gj0; gj < gj1; ++gj)
-    if (row_active(gj)) ++n;
-  return n;
-}
-
 template <typename T>
 std::span<T> FourierFilter::acquire(std::vector<T>& buf,
                                     std::size_t n) const {

@@ -51,9 +51,6 @@ class FourierFilter {
                          const comm::Communicator& line_x, state::State& s,
                          const mesh::Box& window) const;
 
-  /// Number of active rows in [gj0, gj1) (for cost accounting/tests).
-  int active_rows(int gj0, int gj1) const;
-
   /// Workspace heap behavior: acquires that grew a buffer's capacity vs
   /// acquires served from existing capacity.  After the first filtered
   /// line/window every acquire must be a reuse — the steady-state perf

@@ -1,7 +1,6 @@
 #include "perf/cost.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace ca::perf {
 namespace {
@@ -17,10 +16,6 @@ double ceil_log2(int p) {
 }
 
 }  // namespace
-
-double p2p_time(const MachineModel& m, std::size_t bytes) {
-  return m.alpha + m.beta * static_cast<double>(bytes);
-}
 
 double ring_allreduce_time(const MachineModel& m, int p, std::size_t bytes) {
   if (p <= 1) return 0.0;
@@ -42,20 +37,6 @@ double allreduce_time(const MachineModel& m, int p, std::size_t bytes) {
   if (p <= 1) return 0.0;
   return std::min(ring_allreduce_time(m, p, bytes),
                   recursive_doubling_allreduce_time(m, p, bytes));
-}
-
-double distributed_fft_time(const MachineModel& m, int p, std::size_t n,
-                            std::size_t lines) {
-  const double local = static_cast<double>(n) / std::max(p, 1) *
-                       std::max(1.0, std::log2(static_cast<double>(n))) *
-                       5.0 /* flops per butterfly point */ *
-                       static_cast<double>(lines) * m.flop_time;
-  if (p <= 1) return local;
-  const double slab_bytes = static_cast<double>(n) / p *
-                            static_cast<double>(lines) * sizeof(double) * 2;
-  const double rounds = ceil_log2(p);
-  return local + rounds * (m.alpha + m.collective_round_overhead +
-                           m.beta * slab_bytes);
 }
 
 std::size_t ring_allreduce_bytes(int p, std::size_t bytes) {

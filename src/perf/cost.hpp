@@ -10,9 +10,6 @@
 
 namespace ca::perf {
 
-/// One point-to-point message of `bytes` bytes.
-double p2p_time(const MachineModel& m, std::size_t bytes);
-
 /// Ring allreduce over p ranks of a `bytes`-byte vector:
 /// 2(p-1) rounds, 2*(p-1)/p*bytes moved per rank.
 double ring_allreduce_time(const MachineModel& m, int p, std::size_t bytes);
@@ -24,13 +21,6 @@ double recursive_doubling_allreduce_time(const MachineModel& m, int p,
 
 /// Cost-optimal allreduce choice (mirrors comm::allreduce kAuto).
 double allreduce_time(const MachineModel& m, int p, std::size_t bytes);
-
-/// Distributed 1-D FFT of an n-point line spread over p ranks using
-/// butterfly exchanges: log2(p) rounds each moving the local slab, plus
-/// the local n/p log2(n) butterfly work.  `lines` independent transforms
-/// share the rounds (messages are aggregated per round).
-double distributed_fft_time(const MachineModel& m, int p, std::size_t n,
-                            std::size_t lines);
 
 /// Bytes a rank sends during a ring allreduce (for volume accounting).
 std::size_t ring_allreduce_bytes(int p, std::size_t bytes);

@@ -17,13 +17,4 @@ MachineModel MachineModel::tianhe2() {
   return m;
 }
 
-MachineModel MachineModel::modern_cluster() {
-  MachineModel m;
-  m.alpha = 1.0e-6;
-  m.beta = 1.0 / 10.0e9;
-  m.flop_time = 1.0 / 4.0e9;
-  m.collective_round_overhead = 1.0e-6;
-  return m;
-}
-
 }  // namespace ca::perf

@@ -27,9 +27,6 @@ struct MachineModel {
   /// effective per-rank bandwidth under full-node load, 4 Gflop/s per
   /// rank on the stencil code.
   static MachineModel tianhe2();
-
-  /// A lower-latency, higher-bandwidth machine for what-if sweeps.
-  static MachineModel modern_cluster();
 };
 
 }  // namespace ca::perf

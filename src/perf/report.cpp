@@ -66,35 +66,6 @@ void append_csv(std::ostream& out, const std::string& label,
   }
 }
 
-void print_fault_summary(std::ostream& out, const comm::FaultSummary& s,
-                         const std::string& title) {
-  out << title << " (injected " << s.injected_total() << ", detected "
-      << s.detected_total() << ", recovered " << s.recovered_total()
-      << ")\n";
-  out << std::left << std::setw(12) << "fault" << std::right
-      << std::setw(10) << "injected" << std::setw(10) << "detected"
-      << std::setw(10) << "recovered" << "\n";
-  auto row = [&](const char* name, std::uint64_t injected,
-                 std::uint64_t detected, std::uint64_t recovered) {
-    out << std::left << std::setw(12) << name << std::right << std::setw(10)
-        << injected << std::setw(10) << detected << std::setw(10)
-        << recovered << "\n";
-  };
-  row("delay", s.injected_delay, 0, s.recovered_delay);
-  row("duplicate", s.injected_duplicate, 0, s.recovered_duplicate);
-  row("drop", s.injected_drop, s.detected_timeout, s.recovered_drop);
-  row("corrupt", s.injected_corrupt, s.detected_checksum, 0);
-  row("stall", s.injected_stall, 0, 0);
-  // Process-level faults: detection is shared (any peer-dead event may
-  // stem from either a kill or a hang), so the count rides the kill row.
-  row("kill", s.injected_kill, s.detected_peer_dead, 0);
-  row("hang", s.injected_hang, 0, 0);
-  // Numerical faults: in-memory state pokes detected by the health
-  // sentinel (NumericalError incidents).  "Recovery" for these is the
-  // service's rollback, counted per job, not per message — hence 0 here.
-  row("state", s.injected_state_corrupt, s.detected_numeric, 0);
-}
-
 int critical_rank(const SimResult& result) {
   int best = -1;
   double t = -1.0;

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "comm/stats.hpp"
 #include "perf/event_sim.hpp"
 
 namespace ca::perf {
@@ -37,11 +36,5 @@ void append_csv(std::ostream& out, const std::string& label,
 
 /// The rank whose completion time defines the makespan (critical rank).
 int critical_rank(const SimResult& result);
-
-/// Pretty-prints the fault-injection counters of a run: one row per fault
-/// kind with injected / detected / recovered columns, plus totals.  Used
-/// by the chaos suite and the examples to make recovery observable.
-void print_fault_summary(std::ostream& out, const comm::FaultSummary& s,
-                         const std::string& title);
 
 }  // namespace ca::perf

@@ -48,32 +48,6 @@ void add_summary(comm::FaultSummary& acc, const comm::FaultSummary& s) {
 
 }  // namespace
 
-PoolOptions PoolOptions::from_config(const util::Config& cfg) {
-  PoolOptions o;
-  o.slots = cfg.get_int("service.slots", o.slots);
-  o.rank_budget = cfg.get_int("service.rank_budget", o.rank_budget);
-  o.queue_capacity = static_cast<std::size_t>(
-      cfg.get_long("service.queue_capacity",
-                   static_cast<long long>(o.queue_capacity)));
-  o.checkpoint_dir =
-      cfg.get_string("service.checkpoint_dir", o.checkpoint_dir);
-  o.max_rank_strikes =
-      cfg.get_int("service.max_rank_strikes", o.max_rank_strikes);
-  o.quarantine_seconds =
-      cfg.get_double("service.quarantine_seconds", o.quarantine_seconds);
-  o.aging_rate = cfg.get_double("service.aging_rate", o.aging_rate);
-  o.replicate = cfg.get_bool("service.replicate", o.replicate);
-  o.elastic = cfg.get_bool("service.elastic", o.elastic);
-  o.delta_chain = cfg.get_int("service.delta_chain", o.delta_chain);
-  o.delta_block_bytes = static_cast<std::size_t>(
-      cfg.get_long("service.delta_block_bytes",
-                   static_cast<long long>(o.delta_block_bytes)));
-  o.health = core::HealthOptions::from_config(cfg);
-  o.numeric_retry = cfg.get_int("service.numeric_retry", o.numeric_retry);
-  o.obs = obs::TraceOptions::from_config(cfg);
-  return o;
-}
-
 WorkerPool::WorkerPool(const PoolOptions& options)
     : options_(options),
       scheduler_(options.queue_capacity),
@@ -81,18 +55,17 @@ WorkerPool::WorkerPool(const PoolOptions& options)
       started_at_(Clock::now()),
       busy_mark_(started_at_) {
   scheduler_.set_aging_rate(options_.aging_rate);
-  // Environment-sensitive reliability defaults: CI legs flip replication
-  // and delta chaining on for pools constructed DIRECTLY from PoolOptions
-  // (most tests), not just from_config ones.  An empty Config resolves
-  // only the CA_AGCM_* environment; absent vars keep the passed values.
+  // The CA_AGCM_* environment overrides of the pool's knobs are read here
+  // and only here, so a CI leg can flip replication, delta chaining,
+  // elasticity, the sentinel and tracing for every pool.  An empty Config
+  // resolves only the environment; absent vars keep the passed values.
   {
     const util::Config env;
     options_.replicate = env.get_bool("service.replicate", options_.replicate);
     options_.elastic = env.get_bool("service.elastic", options_.elastic);
     options_.delta_chain =
         env.get_int("service.delta_chain", options_.delta_chain);
-    // The sentinel knobs too (CA_AGCM_HEALTH_*): the CI chaos legs flip
-    // cadence/bounds for pools built directly from PoolOptions.
+    // The sentinel knobs (CA_AGCM_HEALTH_*).
     auto& h = options_.health;
     h.cadence = env.get_int("health.cadence", h.cadence);
     h.max_wind = env.get_double("health.max_wind", h.max_wind);
@@ -106,10 +79,8 @@ WorkerPool::WorkerPool(const PoolOptions& options)
     options_.numeric_retry =
         env.get_int("service.numeric_retry", options_.numeric_retry);
   }
-  // Same env courtesy for the obs knobs (CA_AGCM_OBS_*): CI flips tracing
-  // on for pools constructed directly from PoolOptions, not just
-  // from_config ones.  tid -1 marks the scheduler timeline in merged
-  // traces and routes flight dumps to obs_dump_service.json.
+  // The obs knobs (CA_AGCM_OBS_*).  tid -1 marks the scheduler timeline
+  // in merged traces and routes flight dumps to obs_dump_service.json.
   options_.obs = options_.obs.env_resolved();
   tracer_.configure(options_.obs, /*tid=*/-1, nullptr, options_.trace_sink);
   if (options_.trace_sink != nullptr)

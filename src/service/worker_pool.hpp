@@ -47,10 +47,6 @@
 #include "service/replica.hpp"
 #include "service/scheduler.hpp"
 
-namespace ca::util {
-class Config;
-}
-
 namespace ca::service {
 
 struct PoolOptions {
@@ -67,30 +63,31 @@ struct PoolOptions {
   double aging_rate = 0.0;
   /// In-memory buddy replication of checkpoint images: every cadence
   /// each rank deposits its image into the pool's ReplicaStore (self +
-  /// ring buddy), and resumes prefer the RAM set over the disk files.
+  /// ring buddy), and resumes prefer the RAM set over the disk files
+  /// (env override CA_AGCM_SERVICE_REPLICATE).
   bool replicate = false;
-  /// Voluntary rank elasticity (config key service.elastic, env
-  /// CA_AGCM_SERVICE_ELASTIC).  On: a preemptible job whose demand does
-  /// not fit the idle ranks is squeezed to the largest valid smaller
-  /// decomposition and runs narrow instead of waiting for preemption,
-  /// re-growing toward its submitted dims when room returns.  Off (the
-  /// default): decompositions change only when the usable budget shrinks
-  /// permanently (a rank retired).
+  /// Voluntary rank elasticity (env override CA_AGCM_SERVICE_ELASTIC).
+  /// On: a preemptible job whose demand does not fit the idle ranks is
+  /// squeezed to the largest valid smaller decomposition and runs narrow
+  /// instead of waiting for preemption, re-growing toward its submitted
+  /// dims when room returns.  Off (the default): decompositions change
+  /// only when the usable budget shrinks permanently (a rank retired).
   bool elastic = false;
   /// Checkpoint delta chaining: > 0 writes at most that many dirty-block
-  /// delta files between full bases (0 = full file every cadence).
+  /// delta files between full bases (0 = full file every cadence; env
+  /// override CA_AGCM_SERVICE_DELTA_CHAIN).
   int delta_chain = 0;
   /// Dirty-diff granularity for delta checkpoints [bytes].
   std::size_t delta_block_bytes = 4096;
   /// Numerical-health sentinel for every attempt's campaign — ON by
   /// default at the service layer (cadence 1): a production pool must
   /// never complete a blown-up trajectory or persist/replicate a
-  /// poisoned state.  Knobs under health.* (env CA_AGCM_HEALTH_*);
-  /// cadence 0 turns the sentinel off entirely.
+  /// poisoned state.  Env overrides CA_AGCM_HEALTH_*; cadence 0 turns
+  /// the sentinel off entirely.
   core::HealthOptions health{.cadence = 1};
-  /// Separate retry budget for NUMERIC rollbacks (config key
-  /// service.numeric_retry): how many times a job's sentinel trip may
-  /// roll it back to its last healthy checkpoint before it fails.
+  /// Separate retry budget for NUMERIC rollbacks (env override
+  /// CA_AGCM_SERVICE_NUMERIC_RETRY): how many times a job's sentinel trip
+  /// may roll it back to its last healthy checkpoint before it fails.
   /// Distinct from JobSpec::max_attempts — comm faults and blowups have
   /// different causes and different bounded budgets.
   int numeric_retry = 2;
@@ -100,13 +97,6 @@ struct PoolOptions {
   /// Non-null receives every job's span stream (pid = job id) plus the
   /// scheduler timeline; must outlive the pool.
   obs::TraceCollector* trace_sink = nullptr;
-
-  /// Reads service.slots / rank_budget / queue_capacity / checkpoint_dir /
-  /// max_rank_strikes / quarantine_seconds / aging_rate / replicate /
-  /// elastic / delta_chain / delta_block_bytes / numeric_retry plus the
-  /// health.* and obs.* keys (each with the usual CA_AGCM_* environment
-  /// override).
-  static PoolOptions from_config(const util::Config& cfg);
 };
 
 /// Reportable health of one pool rank (see PoolCounters::ranks).

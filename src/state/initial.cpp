@@ -143,7 +143,7 @@ std::function<double(double, double)> gaussian_mountain(double height_m,
 void apply_terrain_surface_pressure(State& xi, const Stratification& strat,
                                     const util::Array2D<double>& phi_s,
                                     const mesh::DomainDecomp& decomp) {
-  const double rt = util::kRd * strat.t_surface();
+  const double rt = util::kRd * Stratification::t_standard(strat.ps_ref());
   for (int j = 0; j < decomp.lny(); ++j)
     for (int i = 0; i < decomp.lnx(); ++i)
       xi.psa()(i, j) =

@@ -24,8 +24,6 @@ class Stratification {
 
   /// Reference temperature at full level k [K].
   double t_ref(int k) const { return t_ref_[static_cast<std::size_t>(k)]; }
-  /// Reference temperature at the surface [K].
-  double t_surface() const { return t_surface_; }
 
   /// Standard-atmosphere temperature at pressure p [Pa].
   static double t_standard(double p);

@@ -21,60 +21,4 @@ double p_factor_u(const util::Array2D<double>& psa,
                 p_factor_s(psa, strat, i, j));
 }
 
-double p_factor_v(const util::Array2D<double>& psa,
-                  const Stratification& strat, int i, int j) {
-  return 0.5 * (p_factor_s(psa, strat, i, j) +
-                p_factor_s(psa, strat, i, j + 1));
-}
-
-void to_transformed(const PhysicalState& phys, const Stratification& strat,
-                    State& xi) {
-  const int lnx = xi.lnx(), lny = xi.lny(), lnz = xi.lnz();
-  // p'_sa first: the staggered P averages read it.
-  for (int j = 0; j < lny; ++j)
-    for (int i = 0; i < lnx; ++i)
-      xi.psa()(i, j) = phys.ps(i, j) - strat.ps_ref();
-  // The staggered averages at i = 0 / j = lny-1 read the psa halo, which
-  // the caller maintains; to keep this conversion self-contained we read
-  // phys.ps through the same halo cells (assumed filled consistently).
-  for (int k = 0; k < lnz; ++k) {
-    for (int j = 0; j < lny; ++j) {
-      for (int i = 0; i < lnx; ++i) {
-        const double pu =
-            0.5 * (p_factor(phys.ps(i - 1, j)) + p_factor(phys.ps(i, j)));
-        const double pv =
-            0.5 * (p_factor(phys.ps(i, j)) + p_factor(phys.ps(i, j + 1)));
-        const double pc = p_factor(phys.ps(i, j));
-        xi.u()(i, j, k) = pu * phys.u(i, j, k);
-        xi.v()(i, j, k) = pv * phys.v(i, j, k);
-        xi.phi()(i, j, k) = pc * util::kRd *
-                            (phys.t(i, j, k) - strat.t_ref(k)) /
-                            util::kGravityWaveSpeed;
-      }
-    }
-  }
-}
-
-void to_physical(const State& xi, const Stratification& strat,
-                 PhysicalState& phys) {
-  const int lnx = xi.lnx(), lny = xi.lny(), lnz = xi.lnz();
-  for (int j = 0; j < lny; ++j)
-    for (int i = 0; i < lnx; ++i)
-      phys.ps(i, j) = strat.ps_ref() + xi.psa()(i, j);
-  for (int k = 0; k < lnz; ++k) {
-    for (int j = 0; j < lny; ++j) {
-      for (int i = 0; i < lnx; ++i) {
-        const double pu = p_factor_u(xi.psa(), strat, i, j);
-        const double pv = p_factor_v(xi.psa(), strat, i, j);
-        const double pc = p_factor_s(xi.psa(), strat, i, j);
-        phys.u(i, j, k) = xi.u()(i, j, k) / pu;
-        phys.v(i, j, k) = xi.v()(i, j, k) / pv;
-        phys.t(i, j, k) = strat.t_ref(k) + util::kGravityWaveSpeed *
-                                               xi.phi()(i, j, k) /
-                                               (pc * util::kRd);
-      }
-    }
-  }
-}
-
 }  // namespace ca::state

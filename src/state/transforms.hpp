@@ -3,8 +3,8 @@
 // with P = sqrt(p_es/p_0), p_es = p_s - p_t, evaluated at the C-grid
 // position of each field (P is averaged to the U and V points).
 //
-// Conversions assume the p'_sa halos needed for the staggered averages
-// are already filled (periodic x, pole reflection, or exchanged).
+// The staggered averages read the p'_sa halo, which must already be
+// filled (periodic x, pole reflection, or exchanged).
 #pragma once
 
 #include "state/state.hpp"
@@ -13,38 +13,14 @@
 
 namespace ca::state {
 
-/// Untransformed (physical) fields on the same block/staggering.
-struct PhysicalState {
-  util::Array3D<double> u, v, t;  ///< velocities [m/s], temperature [K]
-  util::Array2D<double> ps;       ///< surface pressure [Pa]
-
-  PhysicalState() = default;
-  PhysicalState(int lnx, int lny, int lnz, const StateHalo& halo)
-      : u(lnx, lny, lnz, halo.h3),
-        v(lnx, lny, lnz, halo.h3),
-        t(lnx, lny, lnz, halo.h3),
-        ps(lnx, lny, halo.hx2, halo.hy2) {}
-};
-
 /// P = sqrt((p_s - p_t)/p_0) at the scalar point (i, j).
 double p_factor(double ps);
 
 /// P averaged to the U point (i-1/2, j): needs psa(i-1, j).
 double p_factor_u(const util::Array2D<double>& psa,
                   const Stratification& strat, int i, int j);
-/// P averaged to the V point (i, j+1/2): needs psa(i, j+1).
-double p_factor_v(const util::Array2D<double>& psa,
-                  const Stratification& strat, int i, int j);
 /// P at the scalar point (i, j).
 double p_factor_s(const util::Array2D<double>& psa,
                   const Stratification& strat, int i, int j);
-
-/// Physical -> transformed over the owned interior.
-void to_transformed(const PhysicalState& phys, const Stratification& strat,
-                    State& xi);
-
-/// Transformed -> physical over the owned interior.
-void to_physical(const State& xi, const Stratification& strat,
-                 PhysicalState& phys);
 
 }  // namespace ca::state

@@ -282,10 +282,6 @@ void ShallowWaterCore::step(SweState& s) {
   lincomb(s, s, dt, tend_);
 }
 
-void ShallowWaterCore::run(SweState& s, int steps) {
-  for (int n = 0; n < steps; ++n) step(s);
-}
-
 double ShallowWaterCore::local_mass(const SweState& s) const {
   double mass = 0.0;
   for (int j = 0; j < decomp_.lny(); ++j) {

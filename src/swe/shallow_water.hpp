@@ -62,7 +62,6 @@ class ShallowWaterCore {
   SweState make_state() const;
   void initialize(SweState& s, SweInitial kind) const;
   void step(SweState& s);
-  void run(SweState& s, int steps);
 
   const mesh::LatLonMesh& mesh() const { return mesh_; }
   const mesh::DomainDecomp& decomp() const { return decomp_; }

@@ -4,7 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
+#include <string_view>
 
 namespace ca::util {
 namespace {
@@ -41,21 +41,6 @@ std::optional<double> parse_double(const std::string& raw) {
 
 }  // namespace
 
-Config Config::from_text(std::string_view text) {
-  Config c;
-  std::istringstream in{std::string(text)};
-  std::string raw;
-  while (std::getline(in, raw)) {
-    std::string line = raw.substr(0, raw.find('#'));
-    auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    std::string key = trim(line.substr(0, eq));
-    std::string value = trim(line.substr(eq + 1));
-    if (!key.empty()) c.set(std::move(key), std::move(value));
-  }
-  return c;
-}
-
 Config Config::from_args(int argc, const char* const* argv) {
   Config c;
   for (int a = 1; a < argc; ++a) {
@@ -69,18 +54,6 @@ Config Config::from_args(int argc, const char* const* argv) {
 
 void Config::set(std::string key, std::string value) {
   entries_[std::move(key)] = std::move(value);
-}
-
-bool Config::has(const std::string& key) const {
-  return lookup(key).has_value();
-}
-
-Config Config::subset(const std::string& prefix) const {
-  Config sub;
-  for (const auto& [key, value] : entries_)
-    if (key.size() > prefix.size() && key.compare(0, prefix.size(), prefix) == 0)
-      sub.set(key.substr(prefix.size()), value);
-  return sub;
 }
 
 std::string Config::env_name(const std::string& key) {
@@ -119,14 +92,6 @@ int Config::get_int(const std::string& key, int fallback) const {
       *parsed > std::numeric_limits<int>::max())
     throw ConfigError(key, *v, "int");
   return static_cast<int>(*parsed);
-}
-
-long long Config::get_long(const std::string& key, long long fallback) const {
-  auto v = lookup(key);
-  if (!v) return fallback;
-  auto parsed = parse_long(*v);
-  if (!parsed) throw ConfigError(key, *v, "integer");
-  return *parsed;
 }
 
 double Config::get_double(const std::string& key, double fallback) const {

@@ -1,23 +1,23 @@
 // Minimal key=value configuration with typed getters and environment
-// overrides (CA_AGCM_<KEY>).  Used by examples and benches so full-scale
-// parameters can be adjusted without recompiling.
+// overrides (CA_AGCM_<KEY>).  Examples and benches read their command-line
+// arguments through it; WorkerPool and obs::TraceOptions::env_resolved
+// resolve their environment overrides through an empty one.
 //
 // Env override naming: the key is uppercased and every '.' or '-' becomes
 // '_' so namespaced keys stay exportable from a POSIX shell
-// ("comm.max_resends" -> CA_AGCM_COMM_MAX_RESENDS).
+// ("service.delta_chain" -> CA_AGCM_SERVICE_DELTA_CHAIN).
 #pragma once
 
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 namespace ca::util {
 
 /// A present config value failed to parse as the requested type.  Missing
 /// keys still yield the fallback; only malformed values raise (a typo in
-/// "comm.max_resends = 1O" must not silently become the default).
+/// "steps=1O" must not silently become the default).
 struct ConfigError : std::runtime_error {
   ConfigError(const std::string& key, const std::string& value,
               const std::string& expected)
@@ -34,19 +34,10 @@ class Config {
  public:
   Config() = default;
 
-  /// Parses "key=value" lines; '#' starts a comment; blank lines ignored.
-  static Config from_text(std::string_view text);
-
   /// Parses argv-style "key=value" tokens (skips tokens without '=').
   static Config from_args(int argc, const char* const* argv);
 
   void set(std::string key, std::string value);
-  bool has(const std::string& key) const;
-
-  /// New Config holding every entry whose key starts with `prefix`, with
-  /// the prefix stripped ("faults.drop" -> "drop" for prefix "faults.").
-  /// Used to hand sub-systems their own config block.
-  Config subset(const std::string& prefix) const;
 
   std::string get_string(const std::string& key,
                          std::string fallback = "") const;
@@ -55,13 +46,8 @@ class Config {
   /// whitespace allowed, trailing garbage is not) or ConfigError is
   /// raised.  "10x" and "3.5" are errors for get_int, not 10 and 3.
   int get_int(const std::string& key, int fallback) const;
-  long long get_long(const std::string& key, long long fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
-
-  const std::map<std::string, std::string>& entries() const {
-    return entries_;
-  }
 
   /// Env override name of `key`: "CA_AGCM_" + uppercase(key) with '.'
   /// and '-' mapped to '_'.  Exposed so docs/tests state the rule once.

@@ -7,7 +7,6 @@
 
 #include <array>
 #include <chrono>
-#include <iostream>
 
 #include "comm/context.hpp"
 #include "comm/fault.hpp"
@@ -16,7 +15,6 @@
 #include "core/exchange.hpp"
 #include "core/original_core.hpp"
 #include "core/serial_core.hpp"
-#include "perf/report.hpp"
 
 namespace ca::core {
 namespace {
@@ -188,9 +186,6 @@ TEST(ChaosSoak, CASurvivesManySeedsBitForBit) {
     const double diff =
         state::State::max_abs_diff(chaos, reference, reference.interior());
     EXPECT_EQ(diff, 0.0) << "soak seed " << seed << " diverged";
-    perf::print_fault_summary(
-        std::cout, s,
-        "soak seed " + std::to_string(static_cast<unsigned long long>(seed)));
   }
 }
 

@@ -108,7 +108,7 @@ TEST(CommP2P, NonblockingExchange) {
     reqs.push_back(ctx.irecv_values<double>(w, right, 2, frm_right));
     ctx.isend_values<double>(w, right, 1, outbuf);
     ctx.isend_values<double>(w, left, 2, outbuf);
-    ctx.waitall(reqs);
+    for (Request& r : reqs) ctx.wait(r);
     EXPECT_DOUBLE_EQ(frm_left[0], left);
     EXPECT_DOUBLE_EQ(frm_right[0], right);
   });

@@ -131,30 +131,5 @@ TEST(Cart, DimsMismatchThrows) {
       std::invalid_argument);
 }
 
-TEST(BalancedDims, YZRespectsLimitsAndFactors) {
-  auto d = balanced_dims_yz(8, 180, 15);
-  EXPECT_EQ(d[0], 1);
-  EXPECT_EQ(d[1] * d[2], 8);
-  EXPECT_LE(d[2], 15);
-
-  auto big = balanced_dims_yz(1024, 180, 15);
-  EXPECT_EQ(big[0], 1);
-  EXPECT_EQ(big[1] * big[2], 1024);
-  EXPECT_LE(big[1], 180);
-  EXPECT_LE(big[2], 15);
-}
-
-TEST(BalancedDims, XYPrefersSquare) {
-  auto d = balanced_dims_xy(16, 360, 180);
-  EXPECT_EQ(d[2], 1);
-  EXPECT_EQ(d[0] * d[1], 16);
-  EXPECT_EQ(d[0], 4);
-  EXPECT_EQ(d[1], 4);
-}
-
-TEST(BalancedDims, ImpossibleThrows) {
-  EXPECT_THROW(balanced_dims_yz(101, 10, 5), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace ca::comm

@@ -241,18 +241,6 @@ TEST(SerialCore, DiagnosticsReportExtrema) {
   EXPECT_GT(d.quad_energy, 0.0);
 }
 
-TEST(SerialCore, CflScalesWithDt) {
-  SerialCore core(small_config());
-  auto xi = core.make_state();
-  state::InitialOptions opt;
-  opt.kind = state::InitialCondition::kZonalJet;
-  core.initialize(xi, opt);
-  const double c1 = cfl_estimate(core.op_context(), xi, 100.0);
-  const double c2 = cfl_estimate(core.op_context(), xi, 200.0);
-  EXPECT_GT(c1, 0.0);
-  EXPECT_NEAR(c2, 2.0 * c1, 1e-12);
-}
-
 TEST(SerialCore, ZonalMeansMatchInitialJet) {
   auto cfg = small_config();
   SerialCore core(cfg);

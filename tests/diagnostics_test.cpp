@@ -1,11 +1,8 @@
-// Diagnostics extensions (zonal spectra vs the polar filter) and the
-// scan/sendrecv collectives.
+// Zonal spectra and the polar filter.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "comm/collectives.hpp"
-#include "comm/runtime.hpp"
 #include "core/diagnostics.hpp"
 #include "core/serial_core.hpp"
 #include "ops/filter.hpp"
@@ -57,66 +54,6 @@ TEST(ZonalSpectrum, FilterDampsPolarHighWavenumbers) {
   EXPECT_LT(after[m_high], 0.05 * before[m_high])
       << "high zonal wavenumber must be damped at a polar row";
   EXPECT_NEAR(after[0], before[0], 1e-10) << "zonal mean preserved";
-}
-
-TEST(Scan, InclusivePrefix) {
-  comm::Runtime::run(6, [](comm::Context& ctx) {
-    const int me = ctx.world_rank();
-    std::vector<double> in{static_cast<double>(me + 1)};
-    std::vector<double> out(1, -1.0);
-    comm::scan<double>(ctx, ctx.world(), in, out, comm::ReduceOp::kSum);
-    EXPECT_DOUBLE_EQ(out[0], (me + 1) * (me + 2) / 2.0);
-  });
-}
-
-TEST(Scan, MaxOperator) {
-  comm::Runtime::run(5, [](comm::Context& ctx) {
-    const int me = ctx.world_rank();
-    // Values 3, 1, 4, 1, 5 -> running max 3, 3, 4, 4, 5.
-    const double vals[] = {3, 1, 4, 1, 5};
-    const double expect[] = {3, 3, 4, 4, 5};
-    std::vector<double> in{vals[me]};
-    std::vector<double> out(1);
-    comm::scan<double>(ctx, ctx.world(), in, out, comm::ReduceOp::kMax);
-    EXPECT_DOUBLE_EQ(out[0], expect[me]);
-  });
-}
-
-TEST(Scan, MatchesExscanPlusOwn) {
-  comm::Runtime::run(7, [](comm::Context& ctx) {
-    std::vector<double> in{1.5 * ctx.world_rank() + 0.25};
-    std::vector<double> inc(1), exc(1);
-    comm::scan<double>(ctx, ctx.world(), in, inc, comm::ReduceOp::kSum);
-    comm::exscan<double>(ctx, ctx.world(), in, exc, comm::ReduceOp::kSum);
-    EXPECT_NEAR(inc[0], exc[0] + in[0], 1e-12);
-  });
-}
-
-TEST(SendRecv, RingRotation) {
-  comm::Runtime::run(5, [](comm::Context& ctx) {
-    const int me = ctx.world_rank();
-    const int p = ctx.world_size();
-    std::vector<int> out{me * 10};
-    std::vector<int> in(1);
-    comm::sendrecv<int>(ctx, ctx.world(), (me + 1) % p, 3, out,
-                        (me - 1 + p) % p, 3, in);
-    EXPECT_EQ(in[0], ((me - 1 + p) % p) * 10);
-  });
-}
-
-TEST(SendRecv, SelfExchangeThroughNeighbors) {
-  // Two half-rotations return the original value.
-  comm::Runtime::run(4, [](comm::Context& ctx) {
-    const int me = ctx.world_rank();
-    const int p = ctx.world_size();
-    std::vector<double> v{me + 0.5};
-    std::vector<double> tmp(1);
-    comm::sendrecv<double>(ctx, ctx.world(), (me + 2) % p, 9, v,
-                           (me + 2) % p, 9, tmp);
-    comm::sendrecv<double>(ctx, ctx.world(), (me + 2) % p, 10, tmp,
-                           (me + 2) % p, 10, v);
-    EXPECT_DOUBLE_EQ(v[0], me + 0.5);
-  });
 }
 
 }  // namespace

@@ -47,7 +47,7 @@ TEST(HaloPack, RoundTripThroughBuffer) {
   Box s = send_box(6, 5, 4, 0, 1, 0, 0, 2, 0);
   Box r = recv_box(6, 5, 4, 0, -1, 0, 0, 2, 0);
   ASSERT_EQ(s.volume(), r.volume());
-  std::vector<double> buf;
+  std::vector<double> buf(static_cast<std::size_t>(s.volume()));
   pack_box(src, s, buf);
   unpack_box(dst, r, buf);
   for (int k = 0; k < 4; ++k)

@@ -27,7 +27,6 @@
 #include "service/service.hpp"
 #include "state/state.hpp"
 #include "util/checkpoint.hpp"
-#include "util/config.hpp"
 #include "util/json.hpp"
 #include "dump_dir.hpp"
 
@@ -254,28 +253,32 @@ TEST(RankFailureComm, StepFaultFiresOnlyAtItsStep) {
   EXPECT_EQ(plan.summary().injected_kill, 1u);
 }
 
-TEST(RankFailureComm, FromConfigParsesKillAndHang) {
-  const auto cfg = util::Config::from_text(
-      "faults.kill_step = 2\n"
-      "faults.hang_rank = 0.5\n"
-      "faults.hang_ms = 123\n"
-      "faults.src = 1\n");
-  const comm::FaultPlan plan = comm::FaultPlan::from_config(cfg);
-  ASSERT_EQ(plan.rules().size(), 2u);
-  EXPECT_EQ(plan.rules()[0].kind, comm::FaultKind::kKillRank);
-  EXPECT_EQ(plan.rules()[0].step, 2);
-  EXPECT_EQ(plan.rules()[0].src, 1);
-  EXPECT_EQ(plan.rules()[1].kind, comm::FaultKind::kHangRank);
-  EXPECT_DOUBLE_EQ(plan.rules()[1].probability, 0.5);
-  EXPECT_EQ(plan.rules()[1].param, 123);
+TEST(RankFailureComm, HangRuleRollsPerStepWithItsMilliseconds) {
+  // A hang rule without a fixed step rolls its probability at every step
+  // boundary of its scoped rank and hangs for `param` milliseconds.
+  comm::FaultPlan plan(7);
+  comm::FaultRule hang = step_rule(comm::FaultKind::kHangRank, /*src=*/1,
+                                   /*step=*/-1, /*param=*/123);
+  hang.probability = 0.5;
+  plan.add_rule(hang);
+  int fired = 0;
+  for (std::uint64_t step = 0; step < 200; ++step) {
+    const comm::FaultPlan::StepFault f = plan.step_fault(1, step);
+    EXPECT_FALSE(f.kill);
+    if (f.hang_ms > 0) {
+      EXPECT_EQ(f.hang_ms, 123);
+      ++fired;
+    }
+    EXPECT_FALSE(plan.step_fault(0, step).any())
+        << "rule scoped to rank 1 fired on rank 0";
+  }
+  EXPECT_GT(fired, 50);
+  EXPECT_LT(fired, 150);
+  EXPECT_EQ(plan.summary().injected_hang, static_cast<std::uint64_t>(fired));
 }
 
-TEST(RankFailureComm, HeartbeatTimeoutComesFromConfig) {
-  const auto cfg =
-      util::Config::from_text("comm.heartbeat_timeout = 350\n");
-  const comm::RunOptions opts = comm::RunOptions::from_config(cfg);
-  EXPECT_EQ(opts.heartbeat_timeout, std::chrono::milliseconds(350));
-  EXPECT_EQ(comm::RunOptions::from_config(util::Config{}).heartbeat_timeout,
+TEST(RankFailureComm, HeartbeatWatchdogIsOffByDefault) {
+  EXPECT_EQ(comm::RunOptions{}.heartbeat_timeout,
             std::chrono::milliseconds(0))
       << "the watchdog must stay off by default";
 }

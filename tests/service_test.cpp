@@ -9,13 +9,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "service/job.hpp"
 #include "service/scheduler.hpp"
 #include "service/service.hpp"
-#include "util/config.hpp"
 
 namespace ca::service {
 namespace {
@@ -211,9 +212,8 @@ TEST(SchedulerPolicy, AgingLiftsAStarvedJobPastFreshPriority) {
 }
 
 // Clears one CA_AGCM_* var for the enclosing scope and restores it on
-// exit, so an outer environment (the CI replication leg exports
-// CA_AGCM_SERVICE_REPLICATE / _DELTA_CHAIN) cannot shadow the file
-// entries under test.
+// exit, so the test owns the value and an outer environment (the CI legs
+// export several of these) survives it.
 struct EnvGuard {
   std::string name;
   std::optional<std::string> old;
@@ -229,46 +229,45 @@ struct EnvGuard {
   }
 };
 
-TEST(PoolOptionsConfig, ReadsTheServiceKeys) {
-  EnvGuard g1("CA_AGCM_SERVICE_REPLICATE");
-  EnvGuard g2("CA_AGCM_SERVICE_DELTA_CHAIN");
-  EnvGuard g3("CA_AGCM_SERVICE_DELTA_BLOCK_BYTES");
-  const auto cfg = util::Config::from_text(
-      "service.slots = 3\n"
-      "service.rank_budget = 8\n"
-      "service.queue_capacity = 5\n"
-      "service.checkpoint_dir = /tmp/ca_cfg_test\n"
-      "service.max_rank_strikes = 2\n"
-      "service.quarantine_seconds = 1.5\n"
-      "service.aging_rate = 0.25\n"
-      "service.replicate = true\n"
-      "service.delta_chain = 6\n"
-      "service.delta_block_bytes = 8192\n");
-  const PoolOptions o = PoolOptions::from_config(cfg);
-  EXPECT_EQ(o.slots, 3);
-  EXPECT_EQ(o.rank_budget, 8);
-  EXPECT_EQ(o.queue_capacity, 5u);
-  EXPECT_EQ(o.checkpoint_dir, "/tmp/ca_cfg_test");
-  EXPECT_EQ(o.max_rank_strikes, 2);
-  EXPECT_DOUBLE_EQ(o.quarantine_seconds, 1.5);
-  EXPECT_DOUBLE_EQ(o.aging_rate, 0.25);
-  EXPECT_TRUE(o.replicate);
-  EXPECT_EQ(o.delta_chain, 6);
-  EXPECT_EQ(o.delta_block_bytes, 8192u);
-  // Defaults hold when nothing is set.
-  const PoolOptions d = PoolOptions::from_config(util::Config{});
-  EXPECT_EQ(d.max_rank_strikes, PoolOptions{}.max_rank_strikes);
-  EXPECT_DOUBLE_EQ(d.aging_rate, 0.0);
-  EXPECT_FALSE(d.replicate);
-  EXPECT_EQ(d.delta_chain, 0);
-  EXPECT_EQ(d.delta_block_bytes, 4096u);
-  // The CI replication leg turns the feature on via env, which wins
-  // over stored entries (the rule util::Config::env_name documents).
-  ::setenv("CA_AGCM_SERVICE_REPLICATE", "1", 1);
-  ::setenv("CA_AGCM_SERVICE_DELTA_CHAIN", "9", 1);
-  const PoolOptions e = PoolOptions::from_config(cfg);
-  EXPECT_TRUE(e.replicate);
-  EXPECT_EQ(e.delta_chain, 9) << "env must shadow the stored entry";
+TEST(PoolOptionsEnv, CiLegKeysReachThePool) {
+  // Every key the CI env legs export, plus the other sentinel and retry
+  // knobs, must reach a pool built straight from default PoolOptions.
+  const char* kVars[][2] = {
+      {"CA_AGCM_SERVICE_REPLICATE", "1"},
+      {"CA_AGCM_SERVICE_DELTA_CHAIN", "8"},
+      {"CA_AGCM_SERVICE_ELASTIC", "1"},
+      {"CA_AGCM_HEALTH_CADENCE", "3"},
+      {"CA_AGCM_OBS_TRACE", "1"},
+      {"CA_AGCM_HEALTH_MAX_WIND", "2500"},
+      {"CA_AGCM_HEALTH_GROWTH_WARMUP", "5"},
+      {"CA_AGCM_SERVICE_NUMERIC_RETRY", "7"},
+  };
+  std::vector<std::unique_ptr<EnvGuard>> guards;
+  for (const auto& [name, value] : kVars) {
+    guards.push_back(std::make_unique<EnvGuard>(name));
+    ::setenv(name, value, 1);
+  }
+  PoolOptions o;
+  o.checkpoint_dir = std::filesystem::temp_directory_path().string();
+  const WorkerPool pool(o);
+  EXPECT_TRUE(pool.options().replicate);
+  EXPECT_EQ(pool.options().delta_chain, 8);
+  EXPECT_TRUE(pool.options().elastic);
+  EXPECT_EQ(pool.options().health.cadence, 3);
+  EXPECT_TRUE(pool.options().obs.trace);
+  EXPECT_DOUBLE_EQ(pool.options().health.max_wind, 2500.0);
+  EXPECT_EQ(pool.options().health.growth_warmup, 5);
+  EXPECT_EQ(pool.options().numeric_retry, 7);
+
+  // With the variables cleared, the struct fields apply unchanged.
+  for (const auto& [name, value] : kVars) ::unsetenv(name);
+  const WorkerPool plain(o);
+  EXPECT_FALSE(plain.options().replicate);
+  EXPECT_EQ(plain.options().delta_chain, 0);
+  EXPECT_FALSE(plain.options().elastic);
+  EXPECT_EQ(plain.options().health.cadence, 1);
+  EXPECT_FALSE(plain.options().obs.trace);
+  EXPECT_EQ(plain.options().numeric_retry, 2);
 }
 
 TEST(Service, SweepsStaleTmpCheckpointsAtStartup) {
@@ -419,7 +418,7 @@ TEST(Service, ResultTakesTheFinalStateExactlyOnce) {
 TEST(Service, SerialJobsHonourStallFaults) {
   // A serial job runs in a one-rank world, so its steps pass the same
   // fault-injection step boundary (Context::notify_step) as distributed
-  // jobs: a faults.stall rule fires.  One rank has no peer to talk to,
+  // jobs: a kStall rule fires.  One rank has no peer to talk to,
   // so the job still sends nothing.
   ServiceOptions opt;
   opt.slots = 1;
@@ -429,8 +428,11 @@ TEST(Service, SerialJobsHonourStallFaults) {
   JobSpec s = tiny_spec();
   s.steps = 3;
   s.checkpoint_every = 1;
-  s.faults = comm::FaultPlan::from_config(util::Config::from_text(
-      "faults.stall = 1.0\nfaults.stall_polls = 1\n"));
+  comm::FaultRule stall;
+  stall.kind = comm::FaultKind::kStall;
+  stall.probability = 1.0;
+  stall.param = 1;  // poll intervals slept per stalled step
+  s.faults.add_rule(stall);
   const int id = svc.submit(s);
   svc.wait(id);
 

@@ -1,5 +1,4 @@
-// State container arithmetic, the IAP transform (eq. 1), stratification,
-// and initial conditions.
+// State container arithmetic, stratification, and initial conditions.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +8,6 @@
 #include "state/initial.hpp"
 #include "state/state.hpp"
 #include "state/stratification.hpp"
-#include "state/transforms.hpp"
 #include "util/math.hpp"
 
 namespace ca::state {
@@ -59,7 +57,7 @@ TEST(State, MaxAbsDiff) {
 TEST(Stratification, StandardAtmosphereProfile) {
   auto levels = mesh::SigmaLevels::uniform(20);
   Stratification strat(levels);
-  EXPECT_NEAR(strat.t_surface(), 288.15, 1.0);
+  EXPECT_NEAR(Stratification::t_standard(strat.ps_ref()), 288.15, 1.0);
   // Temperature decreases with height until the isothermal stratosphere.
   EXPECT_LT(strat.t_ref(0), strat.t_ref(19));
   EXPECT_GE(strat.t_ref(0), 216.0);
@@ -78,68 +76,6 @@ TEST(Stratification, TStandardMonotoneInPressure) {
     EXPECT_GE(t, prev);
     prev = t;
   }
-}
-
-TEST(Transforms, RoundTripIsIdentity) {
-  mesh::LatLonMesh mesh(16, 8, 4);
-  auto levels = mesh::SigmaLevels::uniform(4);
-  Stratification strat(levels);
-  const StateHalo halo = test_halo();
-  PhysicalState phys(16, 8, 4, halo);
-  // Smooth fields incl. a pressure anomaly.
-  for (int j = -1; j < 9; ++j) {
-    for (int i = -1; i < 17; ++i) {
-      if (!phys.ps.in_bounds(i, j)) continue;
-      phys.ps(i, j) = 1.0e5 + 500.0 * std::sin(0.3 * i) * std::cos(0.5 * j);
-    }
-  }
-  for (int k = 0; k < 4; ++k)
-    for (int j = 0; j < 8; ++j)
-      for (int i = 0; i < 16; ++i) {
-        phys.u(i, j, k) = 10.0 * std::sin(0.4 * i + j);
-        phys.v(i, j, k) = 5.0 * std::cos(0.2 * i - k);
-        phys.t(i, j, k) = strat.t_ref(k) + 3.0 * std::sin(0.1 * i * j);
-      }
-
-  State xi(16, 8, 4, halo);
-  to_transformed(phys, strat, xi);
-  PhysicalState back(16, 8, 4, halo);
-  // to_physical reads the psa halo through staggered averages; mirror the
-  // ps halo values used on the forward path.
-  for (int j = -halo.hy2; j < 8 + halo.hy2; ++j)
-    for (int i = -halo.hx2; i < 16 + halo.hx2; ++i)
-      if (phys.ps.in_bounds(i, j) && xi.psa().in_bounds(i, j) &&
-          (i < 0 || i >= 16 || j < 0 || j >= 8))
-        xi.psa()(i, j) = phys.ps(i, j) - strat.ps_ref();
-  to_physical(xi, strat, back);
-  for (int k = 0; k < 4; ++k)
-    for (int j = 0; j < 8; ++j)
-      for (int i = 0; i < 16; ++i) {
-        EXPECT_NEAR(back.u(i, j, k), phys.u(i, j, k), 1e-10);
-        EXPECT_NEAR(back.v(i, j, k), phys.v(i, j, k), 1e-10);
-        EXPECT_NEAR(back.t(i, j, k), phys.t(i, j, k), 1e-9);
-      }
-  for (int j = 0; j < 8; ++j)
-    for (int i = 0; i < 16; ++i)
-      EXPECT_NEAR(back.ps(i, j), phys.ps(i, j), 1e-9);
-}
-
-TEST(Transforms, RestStateMapsToZero) {
-  mesh::LatLonMesh mesh(16, 8, 4);
-  auto levels = mesh::SigmaLevels::uniform(4);
-  Stratification strat(levels);
-  PhysicalState phys(16, 8, 4, test_halo());
-  phys.u.fill(0.0);
-  phys.v.fill(0.0);
-  phys.ps.fill(strat.ps_ref());
-  for (int k = 0; k < 4; ++k)
-    for (int j = 0; j < 8; ++j)
-      for (int i = 0; i < 16; ++i) phys.t(i, j, k) = strat.t_ref(k);
-  State xi(16, 8, 4, test_halo());
-  to_transformed(phys, strat, xi);
-  EXPECT_DOUBLE_EQ(State::max_abs_diff(
-                       xi, State(16, 8, 4, test_halo()), xi.interior()),
-                   0.0);
 }
 
 class InitialSweep : public ::testing::TestWithParam<InitialCondition> {};

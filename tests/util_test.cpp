@@ -3,9 +3,7 @@
 
 #include <thread>
 
-#include "comm/runtime.hpp"
 #include "obs/trace.hpp"
-#include "service/worker_pool.hpp"
 #include "util/array3d.hpp"
 #include "util/config.hpp"
 #include "util/json.hpp"
@@ -71,33 +69,25 @@ TEST(Array2D, IndexingWithHalos) {
   EXPECT_EQ(a.size(), 6u * 7u);
 }
 
-TEST(Config, ParsesTextWithComments) {
-  auto cfg = Config::from_text(R"(
-# run parameters
-nx = 720
-dt = 450.0   # seconds
-name = hs_test
-verbose = true
-)");
+TEST(Config, ParsesArgs) {
+  const char* argv[] = {"prog",         "nx=720",       "dt=450.0",
+                        "name=hs_test", "verbose=true", "flag",
+                        "ratio = 0.5"};
+  auto cfg = Config::from_args(7, argv);
   EXPECT_EQ(cfg.get_int("nx", -1), 720);
   EXPECT_DOUBLE_EQ(cfg.get_double("dt", 0.0), 450.0);
   EXPECT_EQ(cfg.get_string("name"), "hs_test");
   EXPECT_TRUE(cfg.get_bool("verbose", false));
-  EXPECT_FALSE(cfg.has("missing"));
+  EXPECT_DOUBLE_EQ(cfg.get_double("ratio", 0.0), 0.5);
+  // Tokens without '=' are skipped; missing keys fall back.
+  EXPECT_EQ(cfg.get_string("flag", "absent"), "absent");
   EXPECT_EQ(cfg.get_int("missing", 9), 9);
 }
 
-TEST(Config, ParsesArgs) {
-  const char* argv[] = {"prog", "nx=100", "flag", "ratio=0.5"};
-  auto cfg = Config::from_args(4, argv);
-  EXPECT_EQ(cfg.get_int("nx", -1), 100);
-  EXPECT_DOUBLE_EQ(cfg.get_double("ratio", 0.0), 0.5);
-  EXPECT_FALSE(cfg.has("flag"));
-}
-
 TEST(Config, EnvOverrideWins) {
+  const char* argv[] = {"prog", "steps=5"};
+  auto cfg = Config::from_args(2, argv);
   setenv("CA_AGCM_STEPS", "77", 1);
-  auto cfg = Config::from_text("steps = 5");
   EXPECT_EQ(cfg.get_int("steps", -1), 77);
   unsetenv("CA_AGCM_STEPS");
   EXPECT_EQ(cfg.get_int("steps", -1), 5);
@@ -106,12 +96,12 @@ TEST(Config, EnvOverrideWins) {
 TEST(Config, MalformedValuesRaiseTypedErrors) {
   // A PRESENT but unparseable value must raise, not silently become the
   // fallback: "n = 1O" is a typo the user needs to hear about.
-  auto cfg = Config::from_text(
-      "n = abc\ntrail = 10x\nfrac = 3.5\nd = 1.5ghz\nb = maybe");
+  const char* argv[] = {"prog",       "n=abc",    "trail=10x",
+                        "frac=3.5",   "d=1.5ghz", "b=maybe"};
+  auto cfg = Config::from_args(6, argv);
   EXPECT_THROW(cfg.get_int("n", 3), ConfigError);
   EXPECT_THROW(cfg.get_int("trail", 3), ConfigError);
   EXPECT_THROW(cfg.get_int("frac", 3), ConfigError);   // no truncation
-  EXPECT_THROW(cfg.get_long("trail", 3), ConfigError);
   EXPECT_THROW(cfg.get_double("d", 1.0), ConfigError);
   // The error carries the key and offending value.
   try {
@@ -130,7 +120,10 @@ TEST(Config, MalformedValuesRaiseTypedErrors) {
 }
 
 TEST(Config, WellFormedValuesStillParse) {
-  auto cfg = Config::from_text("n = 42\nneg = -7\nd =  2.5e3 ");
+  Config cfg;
+  cfg.set("n", "42");
+  cfg.set("neg", "-7");
+  cfg.set("d", " 2.5e3 ");
   EXPECT_EQ(cfg.get_int("n", -1), 42);
   EXPECT_EQ(cfg.get_int("neg", -1), -7);
   EXPECT_DOUBLE_EQ(cfg.get_double("d", 0.0), 2500.0);
@@ -138,136 +131,37 @@ TEST(Config, WellFormedValuesStillParse) {
 
 TEST(Config, EnvNameFoldsSeparators) {
   // '.' and '-' are illegal in POSIX env names; both must fold to '_'.
-  EXPECT_EQ(Config::env_name("comm.max_resends"), "CA_AGCM_COMM_MAX_RESENDS");
-  EXPECT_EQ(Config::env_name("faults.delay-polls"),
-            "CA_AGCM_FAULTS_DELAY_POLLS");
+  EXPECT_EQ(Config::env_name("service.delta_chain"),
+            "CA_AGCM_SERVICE_DELTA_CHAIN");
+  EXPECT_EQ(Config::env_name("health.max-wind"), "CA_AGCM_HEALTH_MAX_WIND");
   EXPECT_EQ(Config::env_name("steps"), "CA_AGCM_STEPS");
 }
 
 TEST(Config, NamespacedEnvOverrideWins) {
-  // Regression: namespaced keys used to map to CA_AGCM_COMM.MAX_RESENDS,
+  // Regression: namespaced keys used to map to CA_AGCM_SERVICE.DELTA_CHAIN,
   // which no shell can export, so the override silently never applied.
-  setenv("CA_AGCM_COMM_MAX_RESENDS", "7", 1);
-  auto cfg = Config::from_text("comm.max_resends = 2");
-  EXPECT_EQ(cfg.get_int("comm.max_resends", -1), 7);
-  unsetenv("CA_AGCM_COMM_MAX_RESENDS");
-  EXPECT_EQ(cfg.get_int("comm.max_resends", -1), 2);
-}
-
-TEST(Config, EnvOverrideReachesCommRuntime) {
-  // End-to-end: the exported name must reach RunOptions::from_config.
-  setenv("CA_AGCM_COMM_MAX_RESENDS", "5", 1);
-  setenv("CA_AGCM_COMM_TIMEOUT_MS", "1234", 1);
-  Config cfg;  // empty: everything comes from the environment
-  const auto opts = comm::RunOptions::from_config(cfg);
-  EXPECT_EQ(opts.max_resends, 5);
-  EXPECT_EQ(opts.recv_timeout, std::chrono::milliseconds(1234));
-  unsetenv("CA_AGCM_COMM_MAX_RESENDS");
-  unsetenv("CA_AGCM_COMM_TIMEOUT_MS");
-}
-
-TEST(Config, FailureToleranceKeysFoldAndOverride) {
-  // The rank-failure knobs are documented as env-overridable; pin both
-  // the folded names and the end-to-end override path.
-  EXPECT_EQ(Config::env_name("comm.heartbeat_timeout"),
-            "CA_AGCM_COMM_HEARTBEAT_TIMEOUT");
-  EXPECT_EQ(Config::env_name("service.max_rank_strikes"),
-            "CA_AGCM_SERVICE_MAX_RANK_STRIKES");
-  EXPECT_EQ(Config::env_name("service.aging_rate"),
-            "CA_AGCM_SERVICE_AGING_RATE");
-
-  setenv("CA_AGCM_COMM_HEARTBEAT_TIMEOUT", "450", 1);
-  setenv("CA_AGCM_SERVICE_MAX_RANK_STRIKES", "5", 1);
-  setenv("CA_AGCM_SERVICE_AGING_RATE", "0.75", 1);
-  // Stored entries exist but the environment must win over them.
-  auto cfg = Config::from_text(
-      "comm.heartbeat_timeout = 100\n"
-      "service.max_rank_strikes = 1\n"
-      "service.aging_rate = 0.0\n");
-  const auto comm_opts = comm::RunOptions::from_config(cfg);
-  EXPECT_EQ(comm_opts.heartbeat_timeout, std::chrono::milliseconds(450));
-  const auto pool_opts = service::PoolOptions::from_config(cfg);
-  EXPECT_EQ(pool_opts.max_rank_strikes, 5);
-  EXPECT_DOUBLE_EQ(pool_opts.aging_rate, 0.75);
-  unsetenv("CA_AGCM_COMM_HEARTBEAT_TIMEOUT");
-  unsetenv("CA_AGCM_SERVICE_MAX_RANK_STRIKES");
-  unsetenv("CA_AGCM_SERVICE_AGING_RATE");
-  // With the environment cleared, the stored entries apply again.
-  EXPECT_EQ(comm::RunOptions::from_config(cfg).heartbeat_timeout,
-            std::chrono::milliseconds(100));
-  EXPECT_EQ(service::PoolOptions::from_config(cfg).max_rank_strikes, 1);
-}
-
-TEST(Config, NumericHealthKeysFoldAndOverride) {
-  // The sentinel knobs and the rollback budget are documented as
-  // env-overridable; pin the folded names and the end-to-end path into
-  // HealthOptions / PoolOptions.
-  EXPECT_EQ(Config::env_name("health.cadence"), "CA_AGCM_HEALTH_CADENCE");
-  EXPECT_EQ(Config::env_name("health.max_wind"), "CA_AGCM_HEALTH_MAX_WIND");
-  EXPECT_EQ(Config::env_name("health.max_energy_growth"),
-            "CA_AGCM_HEALTH_MAX_ENERGY_GROWTH");
-  EXPECT_EQ(Config::env_name("health.growth_warmup"),
-            "CA_AGCM_HEALTH_GROWTH_WARMUP");
-  EXPECT_EQ(Config::env_name("service.numeric_retry"),
-            "CA_AGCM_SERVICE_NUMERIC_RETRY");
-
-  setenv("CA_AGCM_HEALTH_CADENCE", "4", 1);
-  setenv("CA_AGCM_HEALTH_MAX_WIND", "2500", 1);
-  setenv("CA_AGCM_HEALTH_GROWTH_WARMUP", "5", 1);
-  setenv("CA_AGCM_SERVICE_NUMERIC_RETRY", "7", 1);
-  // Stored entries exist but the environment must win over them.
-  auto cfg = Config::from_text(
-      "health.cadence = 1\n"
-      "health.max_wind = 1e4\n"
-      "service.numeric_retry = 2\n");
-  const auto health = core::HealthOptions::from_config(cfg);
-  EXPECT_EQ(health.cadence, 4);
-  EXPECT_DOUBLE_EQ(health.max_wind, 2500.0);
-  EXPECT_EQ(health.growth_warmup, 5);
-  const auto pool_opts = service::PoolOptions::from_config(cfg);
-  EXPECT_EQ(pool_opts.health.cadence, 4);
-  EXPECT_EQ(pool_opts.numeric_retry, 7);
-  unsetenv("CA_AGCM_HEALTH_CADENCE");
-  unsetenv("CA_AGCM_HEALTH_MAX_WIND");
-  unsetenv("CA_AGCM_HEALTH_GROWTH_WARMUP");
-  unsetenv("CA_AGCM_SERVICE_NUMERIC_RETRY");
-  // With the environment cleared, the stored entries apply again — and
-  // the service-facing default stays "sentinel on" (cadence 1).
-  EXPECT_EQ(core::HealthOptions::from_config(cfg).cadence, 1);
-  EXPECT_EQ(service::PoolOptions::from_config(cfg).numeric_retry, 2);
-  EXPECT_EQ(core::HealthOptions::from_config(Config{}).cadence, 1);
+  const char* argv[] = {"prog", "service.delta_chain=2"};
+  auto cfg = Config::from_args(2, argv);
+  setenv("CA_AGCM_SERVICE_DELTA_CHAIN", "7", 1);
+  EXPECT_EQ(cfg.get_int("service.delta_chain", -1), 7);
+  unsetenv("CA_AGCM_SERVICE_DELTA_CHAIN");
+  EXPECT_EQ(cfg.get_int("service.delta_chain", -1), 2);
 }
 
 TEST(Config, ObsKeysFoldAndOverride) {
-  // The observability knobs ride the same config/env machinery; pin the
-  // folded names and both resolution paths (from_config for configured
-  // runs, env_resolved for RunOptions{} call sites the CI leg flips on).
+  // The observability knobs resolve through env_resolved, which World and
+  // WorkerPool apply on top of their programmatic options.
   EXPECT_EQ(Config::env_name("obs.trace"), "CA_AGCM_OBS_TRACE");
   EXPECT_EQ(Config::env_name("obs.dump_on_failure"),
             "CA_AGCM_OBS_DUMP_ON_FAILURE");
   EXPECT_EQ(Config::env_name("obs.ring_events"), "CA_AGCM_OBS_RING_EVENTS");
   EXPECT_EQ(Config::env_name("obs.dump_dir"), "CA_AGCM_OBS_DUMP_DIR");
 
-  auto cfg = Config::from_text(
-      "obs.trace = true\n"
-      "obs.dump_on_failure = false\n"
-      "obs.ring_events = 32\n"
-      "obs.dump_dir = cfg_dumps\n");
-  obs::TraceOptions from_cfg = obs::TraceOptions::from_config(cfg);
-  EXPECT_TRUE(from_cfg.trace);
-  EXPECT_FALSE(from_cfg.dump_on_failure);
-  EXPECT_EQ(from_cfg.ring_events, 32);
-  EXPECT_EQ(from_cfg.dump_dir, "cfg_dumps");
-
   setenv("CA_AGCM_OBS_TRACE", "0", 1);
   setenv("CA_AGCM_OBS_RING_EVENTS", "64", 1);
   setenv("CA_AGCM_OBS_DUMP_DIR", "env_dumps", 1);
-  // The environment wins over stored entries...
-  from_cfg = obs::TraceOptions::from_config(cfg);
-  EXPECT_FALSE(from_cfg.trace);
-  EXPECT_EQ(from_cfg.ring_events, 64);
-  EXPECT_EQ(from_cfg.dump_dir, "env_dumps");
-  // ...and over programmatic defaults; untouched knobs survive.
+  // The environment wins over programmatic settings; untouched knobs
+  // survive.
   obs::TraceOptions prog;
   prog.trace = true;
   prog.dump_on_failure = false;
@@ -279,7 +173,7 @@ TEST(Config, ObsKeysFoldAndOverride) {
   unsetenv("CA_AGCM_OBS_TRACE");
   unsetenv("CA_AGCM_OBS_RING_EVENTS");
   unsetenv("CA_AGCM_OBS_DUMP_DIR");
-  EXPECT_TRUE(obs::TraceOptions::from_config(cfg).trace);
+  EXPECT_TRUE(prog.env_resolved().trace);
 }
 
 TEST(Json, BuildAndDump) {
