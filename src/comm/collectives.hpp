@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "comm/context.hpp"
@@ -235,14 +236,17 @@ void allreduce(Context& ctx, const Communicator& comm, std::span<const T> in,
 }
 
 /// Each rank contributes in.size() elements; out receives p*in.size()
-/// elements ordered by rank (ring algorithm).
+/// elements ordered by rank (ring algorithm).  Throws
+/// std::invalid_argument, before any message, when out has another size.
 template <typename T>
 void allgather(Context& ctx, const Communicator& comm, std::span<const T> in,
                std::span<T> out) {
-  detail::CollectiveScope scope(ctx);
   const int p = comm.size();
   const int me = comm.rank();
   const std::size_t n = in.size();
+  if (out.size() != n * static_cast<std::size_t>(p))
+    throw std::invalid_argument("allgather: out must hold p * in.size()");
+  detail::CollectiveScope scope(ctx);
   std::copy(in.begin(), in.end(),
             out.begin() + static_cast<std::ptrdiff_t>(n) * me);
   if (p == 1) return;

@@ -79,14 +79,16 @@ class CACore {
   // a step is deferred into the next one (line 30), and the approximate
   // nonlinear iteration (eq. 13) reuses the previous step's C products.
   // That state lives outside the prognostic fields, so a bitwise resume
-  // must carry it alongside the checkpointed interiors:
+  // carries what a resumed step reads before it writes it:
   //   - step_count_ (gates the deferred smoothing of the resumed step)
   //     and have_stale_c_ (gates the stale-C fast path),
-  //   - the stale C products and column anchors in the DiagWorkspace
-  //     (full arrays, halos included: the resumed step's overlapped inner
+  //   - the stale C products ws_.vert (sdot, w, phi_geo, divsum; full
+  //     arrays, halos included: the resumed step's overlapped inner
   //     update reads them before any exchange refreshes them),
-  //   - the pre-smoothing rows of pre_ (phi and p'_sa — the components
+  //   - the pre-smoothing rows of pre_ (phi and p'_sa, the components
   //     the later smoothing S2 reads).
+  // The column anchors of the z-line collectives are not carried: every
+  // fresh C rewrites them on its face ring before reading them.
   // run_campaign detects these hooks with `requires` (like finalize /
   // refresh_halos) and saves/restores the blob with each checkpoint.
   //
@@ -94,15 +96,11 @@ class CACore {
   // util::kReshardableCarryMagic: every field travels with its global
   // extents, halo depths, and block origin, so a degraded-pool
   // util::reshard_checkpoints can redistribute it across a new Y-Z
-  // decomposition without knowing this core.  The column anchors
-  // (own/base/total) are decomposition-dependent values, but every
-  // stale evaluation reads only ws_.vert, and every fresh evaluation
-  // recomputes the anchors through the z-line collectives before any
-  // read — so geometric redistribution preserves the resumed
-  // trajectory (bitwise for same-pz reshards with fresh_c_on_block_face
-  // off; a pz change regroups the z-collective partial sums).  The
-  // declared minimum block extents (3M + 1 in y, 3 in z) make a
-  // genuinely unrepresentable reshard fail loudly in util::.
+  // decomposition without knowing this core (bitwise for same-pz
+  // reshards with fresh_c_on_block_face off; a pz change regroups the
+  // z-collective partial sums).  The declared minimum block extents
+  // (CALayout::min_lny / min_lnz) make an unrepresentable reshard fail
+  // loudly in util::.
 
   /// Serializes the cross-step carry state into `w`.
   void save_carry(util::CarryWriter& w) const;
@@ -122,6 +120,7 @@ class CACore {
   state::Stratification strat_;
   comm::CartTopology topo_;
   mesh::DomainDecomp decomp_;
+  CALayout layout_;  ///< every array's halo, read off the step plans
   ops::OpContext opctx_;
   ops::FourierFilter filter_;
   ops::DiagWorkspace ws_;

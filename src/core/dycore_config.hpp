@@ -64,9 +64,10 @@ struct CAOptions {
   bool fresh_c_on_block_face = true;
 };
 
-/// Halo layout for a core whose exchange covers D stencil updates
-/// (D = 1 for the original per-update exchange, D = 3M for the
-/// communication-avoiding adaptation phase).
+/// Halo layout for a core whose exchange covers D stencil updates (D = 1
+/// for the serial and original cores' per-update exchange; the
+/// communication-avoiding core reads its layout off its step plans,
+/// core::ca_layout).
 inline state::StateHalo halos_for_depth(int depth) {
   state::StateHalo h;
   // y needs one extra layer beyond the exchange-covered updates: the

@@ -1,6 +1,7 @@
 #include "core/step_plan.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "ops/adaptation.hpp"
 #include "ops/advection.hpp"
@@ -96,6 +97,23 @@ void carry_psa(const state::State& base, state::State& out) {
   std::copy(src.begin(), src.end(), dst.begin());
 }
 
+/// The halo the arrays of `group` need under `plan`: per axis, the widest
+/// width any exchange item gives a field of the group (3-D fields set h3,
+/// 2-D fields hy2; 2-D items have no z width).  No item carries an x
+/// width under Y-Z, so x keeps the stencils' periodic reach of 3.
+state::StateHalo plan_halo(const StepPlan& plan,
+                           std::initializer_list<FieldId> group) {
+  state::StateHalo h{{3, 0, 0}, 3, 0};
+  for (const PlanEntry& e : plan)
+    for (const PlanItem& it : e.items)
+      if (std::find(group.begin(), group.end(), it.field) != group.end()) {
+        int& y = footprint(it).is2d ? h.hy2 : h.h3.y;
+        y = std::max(y, it.wy);
+        h.h3.z = std::max(h.h3.z, it.wz);
+      }
+  return h;
+}
+
 bool is_c_product(FieldId f) {
   return f == FieldId::kDivsum || f == FieldId::kSdot || f == FieldId::kW ||
          f == FieldId::kPhiGeo;
@@ -155,8 +173,12 @@ StepPlan make_ca_plan(const mesh::DomainDecomp& d, int M,
                       const CAOptions& o, bool smoothing_pending,
                       bool stale_c) {
   StepPlan plan;
-  const int depth_y = 3 * M + 1;
-  const int hy2 = halos_for_depth(3 * M).hy2;
+  // The deepest adaptation window reaches `reach` rows past the block; the
+  // y halo adds C's face ring and the divergence's V read one row beyond
+  // it, and p'_sa one row more for the kSurfaceRing-wide surface factors.
+  const int reach = 3 * M - 1;
+  const int depth_y = reach + 2;
+  const int depth_psa = depth_y + 1;
   const bool fused = smoothing_pending && o.fuse_smoothing;
   const mesh::Box block = extended_window(d, 0, 0);
   // Paper mode: the collective columns cover only the block face; the
@@ -181,8 +203,8 @@ StepPlan make_ca_plan(const mesh::DomainDecomp& d, int M,
   std::vector<PlanItem> items{{FieldId::kU, 0, depth_y, 0},
                               {FieldId::kV, 0, depth_y, 0},
                               {FieldId::kPhi, 0, depth_y, 0},
-                              {FieldId::kPsa, 0, hy2, 0},
-                              {FieldId::kDivsum, 0, hy2, 0},
+                              {FieldId::kPsa, 0, depth_psa, 0},
+                              {FieldId::kDivsum, 0, depth_psa, 0},
                               {FieldId::kSdot, 0, depth_y, 0},
                               {FieldId::kW, 0, depth_y, 0},
                               {FieldId::kPhiGeo, 0, depth_y, 0}};
@@ -205,7 +227,7 @@ StepPlan make_ca_plan(const mesh::DomainDecomp& d, int M,
   // --- adaptation: M iterations of 3 updates on shrinking windows -------
   int u = 0;
   for (int iter = 0; iter < M; ++iter) {
-    const mesh::Box w1 = extended_window(d, 3 * M - 1 - u++, 0);
+    const mesh::Box w1 = extended_window(d, reach - u++, 0);
     PlanEntry e1 = update(Operator::kAdaptation, 1,
                           iter == 0 ? ops::subtract_box(w1, inner)
                                     : std::vector<mesh::Box>{w1},
@@ -216,7 +238,7 @@ StepPlan make_ca_plan(const mesh::DomainDecomp& d, int M,
     }
     plan.push_back(std::move(e1));
     for (int stage = 2; stage <= 3; ++stage) {
-      const mesh::Box w = extended_window(d, 3 * M - 1 - u++, 0);
+      const mesh::Box w = extended_window(d, reach - u++, 0);
       plan.push_back(
           fresh(update(Operator::kAdaptation, stage, {w}, true), c_window(w)));
     }
@@ -226,7 +248,7 @@ StepPlan make_ca_plan(const mesh::DomainDecomp& d, int M,
   plan.push_back(begin(Slot::kXi, {{FieldId::kU, 0, 4, 3},
                                    {FieldId::kV, 0, 4, 3},
                                    {FieldId::kPhi, 0, 4, 3},
-                                   {FieldId::kPsa, 0, hy2, 0},
+                                   {FieldId::kPsa, 0, depth_psa, 0},
                                    {FieldId::kSdot, 0, 4, 3}}));
   const mesh::Box adv_inner = o.overlap ? inner_block(d, 2) : mesh::Box{};
   if (!adv_inner.empty()) {
@@ -248,6 +270,17 @@ StepPlan make_ca_finalize_plan() {
   StepPlan plan;
   append_full_smoothing(plan, /*fill=*/true);
   return plan;
+}
+
+CALayout ca_layout(const mesh::DomainDecomp& d, int M, const CAOptions& o) {
+  StepPlan plans = make_ca_plan(d, M, o, false, false);
+  for (const StepPlan& next : {make_ca_plan(d, M, o, true, true),
+                               make_ca_finalize_plan()})
+    plans.insert(plans.end(), next.begin(), next.end());
+  return {plan_halo(plans, {FieldId::kU, FieldId::kV, FieldId::kPhi,
+                            FieldId::kPsa, FieldId::kDivsum, FieldId::kSdot,
+                            FieldId::kW, FieldId::kPhiGeo}),
+          plan_halo(plans, {FieldId::kPrePhi, FieldId::kPrePsa})};
 }
 
 std::vector<PlanItem> original_halo_items(const mesh::DomainDecomp& d) {

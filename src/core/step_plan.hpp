@@ -106,6 +106,22 @@ StepPlan make_ca_plan(const mesh::DomainDecomp& d, int M,
 /// The CA core's deferred smoothing of its last step (Algorithm 2 line 30).
 StepPlan make_ca_finalize_plan();
 
+/// The CA block's halo layout, read off the first-step, steady-step and
+/// finalize plans: each array gets the widest halo those plans' exchanges
+/// write into it, and nothing deeper.
+struct CALayout {
+  state::StateHalo state;  ///< xi, eta, mid, tend and the diagnostic workspace
+  state::StateHalo pre;    ///< the pre-smoothing copy of the fused smoothing
+
+  /// The smallest block a split y / z dimension admits: one neighbor's
+  /// block must hold the deepest 3-D halo rows the exchanges carry.
+  int min_lny() const { return state.h3.y; }
+  int min_lnz() const { return state.h3.z; }
+};
+
+CALayout ca_layout(const mesh::DomainDecomp& d, int M,
+                   const CAOptions& options);
+
 /// Algorithm 1 on one rank: a full-halo exchange before each of the 3M + 3
 /// updates and before the smoothing.
 StepPlan make_original_plan(const mesh::DomainDecomp& d, int M);

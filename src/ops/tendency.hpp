@@ -6,7 +6,6 @@
 // column_partials and column_finish).
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "mesh/halo.hpp"
@@ -29,41 +28,17 @@ struct DiagWorkspace {
         total_phi(lnx, lny, halo.hx2, halo.hy2) {}
 
   LocalDiag local;
+  /// C's products; the communication-avoiding core carries them across
+  /// steps (the stale products of paper eq. 13) and checkpoints them.
   VertDiag vert;
+  // C's column anchors: every C rewrites them on its face ring before it
+  // reads them, so they hold nothing across steps.
   util::Array2D<double> own_div, own_phi;      ///< per-rank column sums
   util::Array2D<double> base_div, base_phi;    ///< exscan prefixes
   util::Array2D<double> total_div, total_phi;  ///< allreduce totals
   /// Packed [div | phi] face vectors of the z-line collectives, kept
   /// across calls so the distributed C allocates nothing once warm.
   std::vector<double> column_own, column_total, column_prefix;
-
-  /// The cross-step carry of the communication-avoiding core: the stale C
-  /// products (VertDiag) reused by the approximate nonlinear iteration
-  /// (paper eq. 13) plus the column anchors of the last fresh evaluation.
-  /// LocalDiag is deliberately absent — it is recomputed fresh at every
-  /// operator application.  The enumeration order is the on-disk carry
-  /// order of checkpoint v3; keep it stable (append-only).  Each field
-  /// is serialized with per-field geometry metadata (global extents,
-  /// halo depths, block origin — util::kReshardableCarryMagic), which is
-  /// what lets a degraded-pool reshard redistribute the carry.  The
-  /// own/base/total anchors are z-decomposition-dependent values, but
-  /// they are recomputed by the collectives inside every fresh
-  /// evaluation before any read, and stale evaluations read only vert —
-  /// so geometric redistribution is safe for all of them.
-  std::array<const util::Array3D<double>*, 3> carry_fields_3d() const {
-    return {&vert.sdot, &vert.w, &vert.phi_geo};
-  }
-  std::array<util::Array3D<double>*, 3> carry_fields_3d() {
-    return {&vert.sdot, &vert.w, &vert.phi_geo};
-  }
-  std::array<const util::Array2D<double>*, 7> carry_fields_2d() const {
-    return {&vert.divsum, &own_div,   &own_phi,  &base_div,
-            &base_phi,    &total_div, &total_phi};
-  }
-  std::array<util::Array2D<double>*, 7> carry_fields_2d() {
-    return {&vert.divsum, &own_div,   &own_phi,  &base_div,
-            &base_phi,    &total_div, &total_phi};
-  }
 };
 
 /// Total extra cells (beyond the update window) on which the surface

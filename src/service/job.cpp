@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "core/step_plan.hpp"
+#include "mesh/latlon.hpp"
+
 namespace ca::service {
 
 const char* to_string(JobState s) {
@@ -37,7 +40,7 @@ const char* to_string(CoreKind k) {
 std::string validate(const JobSpec& spec, int rank_budget) {
   const auto& c = spec.config;
   if (spec.steps <= 0) return "steps must be positive";
-  if (c.nx < 4 || c.ny < 3 || c.nz < 1) return "mesh too small";
+  if (c.nx < 4 || c.ny < 4 || c.nz < 1) return "mesh too small";
   for (int d : spec.dims)
     if (d < 1) return "process grid dims must be positive";
   const int p = spec.ranks();
@@ -55,9 +58,13 @@ std::string validate(const JobSpec& spec, int rank_budget) {
     if (spec.core == CoreKind::kCA) {
       if (spec.dims[0] != 1) return "CA jobs require px == 1 (Y-Z scheme)";
       if (c.M < 2) return "CA jobs require M >= 2";
-      if (py > 1 && c.ny / py < 3 * c.M + 1)
+      const mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
+      const core::CALayout layout = core::ca_layout(
+          mesh::DomainDecomp(mesh, spec.dims, {0, 0, 0}), c.M,
+          spec.ca_options);
+      if (py > 1 && c.ny / py < layout.min_lny())
         return "CA jobs need ny/py >= 3M + 1 for the deep y halos";
-      if (pz > 1 && c.nz / pz < 3)
+      if (pz > 1 && c.nz / pz < layout.min_lnz())
         return "CA jobs need nz/pz >= 3 for the advection z halos";
     }
     if (spec.core == CoreKind::kOriginal &&

@@ -1,7 +1,8 @@
 // The prognostic state xi = (U, V, Phi, p'_sa) of the transformed dynamic
 // evolution equations (paper eq. 1-2) on one rank's block, with halo
 // storage sized for the algorithm variant (1-wide for the original
-// per-update exchange, 3M-wide for the communication-avoiding deep halos).
+// per-update exchange; for the communication-avoiding core, as wide as its
+// step plan's exchanges: 3M + 1 rows in y, 3 layers in z).
 //
 // Linear combinations are region-scoped: the CA algorithm evaluates
 // updates on shrinking extended regions (block + remaining halo), so every

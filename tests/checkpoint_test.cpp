@@ -2,13 +2,17 @@
 // bitwise-identical restarted run across ranks.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/runtime.hpp"
@@ -1196,6 +1200,76 @@ TEST(CheckpointReshard, OpaqueOrMixedCarryFailsLoudly) {
                  std::runtime_error);
     remove_set(prefix);
   }
+}
+
+/// Carried fields as (is3d, {hx, hy, hz}).
+using CarryFields = std::vector<std::pair<bool, std::array<int, 3>>>;
+
+/// A reshardable carry block for `c`'s single-rank {1,1,1} block with
+/// zero-filled fields of the given shapes, under the given declared
+/// minimum block extents.
+std::vector<std::byte> carry_with_fields(const core::DycoreConfig& c,
+                                         int min_lny, int min_lnz,
+                                         const CarryFields& fields) {
+  CarryWriter w;
+  w.put_u64(kReshardableCarryMagic);
+  w.put_u64(static_cast<std::uint64_t>(min_lny));
+  w.put_u64(static_cast<std::uint64_t>(min_lnz));
+  w.put_u64(2);  // scalars: step count, stale-C flag
+  w.put_i64(1);
+  w.put_i64(1);
+  w.put_u64(fields.size());
+  for (const auto& [is3d, h] : fields) {
+    const std::array<int, 3> n{c.nx, c.ny, is3d ? c.nz : 1};
+    w.put_u64(is3d ? 1 : 0);
+    for (int pass = 0; pass < 2; ++pass)  // global extents, then the block
+      for (int v : n) w.put_u64(static_cast<std::uint64_t>(v));
+    for (int v : h) w.put_u64(static_cast<std::uint64_t>(v));
+    for (int d = 0; d < 3; ++d) w.put_u64(0);  // origin
+    w.put_doubles(std::vector<double>(
+        static_cast<std::size_t>(n[0] + 2 * h[0]) * (n[1] + 2 * h[1]) *
+        (n[2] + 2 * h[2])));
+  }
+  return w.take();
+}
+
+TEST(CheckpointReshard, OldLayoutCACarryFailsLoudly) {
+  // The CA carry used to hold ten workspace fields (the four C products
+  // and six column anchors) plus two pre-smoothing rows, every array with
+  // a 3M-deep z halo.  Neither shape restores into today's core.
+  const auto c = ca_cfg();
+  const int M = c.M;
+  const std::array<int, 3> c3{3, 3 * M + 1, 3 * M + 1};  // sdot, w, phi_geo
+  const std::array<int, 3> c2{3, 3 * M + 2, 0};          // 2-D fields
+  const std::array<int, 3> pre3{3, 3 * M + 1, 3 * M};    // pre phi
+  const CarryFields twelve = [&] {
+    CarryFields f(3, {true, c3});
+    f.insert(f.end(), 7, {false, c2});
+    f.push_back({true, pre3});
+    f.push_back({false, c2});
+    return f;
+  }();
+  const CarryFields deep_z{{true, c3}, {true, c3},  {true, c3},
+                           {false, c2}, {true, pre3}, {false, c2}};
+  // Today's layout (z 3 + 1 for VertDiag's interface arrays, the
+  // pre-smoothing rows 4 deep in y and flat in z) as the control.
+  const std::array<int, 3> now3{3, 3 * M + 1, 4};
+  const CarryFields today{{true, now3},  {true, now3},      {true, now3},
+                          {false, c2},   {true, {3, 4, 0}}, {false, {3, 4, 0}}};
+
+  comm::Runtime::run(1, [&](comm::Context& ctx) {
+    for (const CarryFields* fields : {&twelve, &deep_z}) {
+      core::CACore core(c, ctx, {1, 1, 1}, exact_ca());
+      const auto blob = carry_with_fields(c, 3 * M + 1, 3, *fields);
+      CarryReader r(blob);
+      EXPECT_THROW(core.restore_carry(r), std::runtime_error)
+          << fields->size() << "-field carry";
+    }
+    core::CACore core(c, ctx, {1, 1, 1}, exact_ca());
+    const auto blob = carry_with_fields(c, 3 * M + 1, 3, today);
+    CarryReader r(blob);
+    EXPECT_NO_THROW(core.restore_carry(r));
+  });
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Cartesian topology and communicator splitting.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "comm/collectives.hpp"
@@ -18,9 +19,11 @@ TEST(Split, ByParity) {
     EXPECT_EQ(sub.size(), 3);
     EXPECT_EQ(sub.rank(), me / 2);
     // Traffic on sub must not leak to the other color's communicator.
+    // A short output span is refused on every rank before any message.
     std::vector<int> in{me}, out(3);
-    allgather<int>(ctx, ctx.world(), std::span<const int>(in),
-                   std::span<int>(out.data(), 0));  // no-op usage guard
+    EXPECT_THROW(allgather<int>(ctx, ctx.world(), std::span<const int>(in),
+                                std::span<int>(out.data(), 0)),
+                 std::invalid_argument);
     std::vector<int> gathered(3);
     allgather<int>(ctx, sub, std::span<const int>(in),
                    std::span<int>(gathered));

@@ -4,12 +4,18 @@
 // decomposition-invariant in exact mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "comm/runtime.hpp"
 #include "core/ca_core.hpp"
 #include "core/diagnostics.hpp"
 #include "core/exchange.hpp"
+#include "core/step_plan.hpp"
+#include "util/checkpoint.hpp"
 
 namespace ca::core {
 namespace {
@@ -31,7 +37,7 @@ std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
 DycoreConfig sweep_config(const SweepCase& c) {
   DycoreConfig cfg;
   cfg.nx = 24;
-  // Block-size constraint: ny/py >= 3M + 2.
+  // Block-size constraint: ny/py >= 3M + 1.
   cfg.ny = c.dims[1] * (3 * c.M + 4);
   cfg.nz = std::max(8, c.dims[2] * 4);
   cfg.M = c.M;
@@ -131,6 +137,172 @@ TEST(CASweepCounts, ExchangeCountIndependentOfM) {
       // one neighbor.
       EXPECT_EQ(after.p2p_messages - before.p2p_messages, 15u)
           << "M = " << M;
+    });
+  }
+}
+
+/// Per-axis halo widths, {x, y, z}.
+using Widths = std::array<int, 3>;
+
+Widths widths(const util::Array3D<double>& a) {
+  return {a.halo().x, a.halo().y, a.halo().z};
+}
+Widths widths(const util::Array2D<double>& a) { return {a.hx(), a.hy(), 0}; }
+
+/// The halos of the fields a CA carry block holds, in order (the
+/// pre-smoothing rows are visible only there), and its declared minimum
+/// block extents.
+struct CarryShape {
+  std::uint64_t min_lny = 0, min_lnz = 0;
+  std::vector<Widths> halos;
+};
+
+CarryShape carry_shape(const CACore& core) {
+  util::CarryWriter w;
+  core.save_carry(w);
+  util::CarryReader r(w.bytes());
+  CarryShape out;
+  EXPECT_EQ(r.get_u64(), util::kReshardableCarryMagic);
+  out.min_lny = r.get_u64();
+  out.min_lnz = r.get_u64();
+  for (std::uint64_t n = r.get_u64(); n > 0; --n) r.get_i64();
+  for (std::uint64_t n = r.get_u64(); n > 0; --n) {
+    r.get_u64();  // is3d
+    std::array<std::uint64_t, 12> g{};  // global, local, halo, origin
+    for (std::uint64_t& v : g) v = r.get_u64();
+    std::vector<double> raw((g[3] + 2 * g[6]) * (g[4] + 2 * g[7]) *
+                            (g[5] + 2 * g[8]));
+    r.get_doubles(raw);
+    out.halos.push_back({static_cast<int>(g[6]), static_cast<int>(g[7]),
+                         static_cast<int>(g[8])});
+  }
+  r.expect_end();
+  return out;
+}
+
+TEST(CALayout, HalosAreTheWidestThePlansExchange) {
+  std::vector<std::pair<const char*, CAOptions>> options(5);
+  options[0].first = "default";
+  options[1] = {"approximate_iteration off", {}};
+  options[1].second.approximate_iteration = false;
+  options[2] = {"overlap off", {}};
+  options[2].second.overlap = false;
+  options[3] = {"fuse_smoothing off", {}};
+  options[3].second.fuse_smoothing = false;
+  options[4] = {"fresh_c_on_block_face off", {}};
+  options[4].second.fresh_c_on_block_face = false;
+  const std::array<int, 3> splits[] = {
+      {1, 2, 1}, {1, 4, 1}, {1, 2, 2}, {1, 1, 2}};
+
+  for (int M : {2, 3, 4})
+    for (const auto& dims : splits)
+      for (const auto& [name, opts] : options) {
+        DycoreConfig cfg;
+        cfg.nx = 24;
+        cfg.ny = 4 * (3 * M + 1);
+        cfg.nz = 8;
+        cfg.M = M;
+        comm::Runtime::run(dims[1] * dims[2], [&](comm::Context& ctx) {
+          SCOPED_TRACE(testing::Message()
+                       << "M " << M << " dims {1," << dims[1] << ","
+                       << dims[2] << "} " << name << " rank "
+                       << ctx.world_rank());
+          CACore core(cfg, ctx, dims, opts);
+          const state::State xi = core.make_state();
+          const ops::VertDiag& vert = core.workspace().vert;
+          const CarryShape carry = carry_shape(core);
+          ASSERT_EQ(carry.halos.size(), 6u);
+          const Widths pre_phi = carry.halos[4], pre_psa = carry.halos[5];
+
+          // The halo allocated for each field a plan item can name.
+          auto allocated = [&](FieldId f) -> Widths {
+            switch (f) {
+              case FieldId::kU: return widths(xi.u());
+              case FieldId::kV: return widths(xi.v());
+              case FieldId::kPhi: return widths(xi.phi());
+              case FieldId::kPsa: return widths(xi.psa());
+              case FieldId::kDivsum: return widths(vert.divsum);
+              case FieldId::kSdot: return widths(vert.sdot);
+              case FieldId::kW: return widths(vert.w);
+              case FieldId::kPhiGeo: return widths(vert.phi_geo);
+              case FieldId::kPrePhi: return pre_phi;
+              case FieldId::kPrePsa: return pre_psa;
+            }
+            return {};
+          };
+
+          // Every item fits the array it names; record the widest item
+          // per field group and axis.
+          const mesh::DomainDecomp& d = core.decomp();
+          int y3 = 0, z3 = 0, y2 = 0, pre_y = 0, pre_z = 0;
+          for (const StepPlan& plan :
+               {make_ca_plan(d, M, opts, false, false),
+                make_ca_plan(d, M, opts, true, true),
+                make_ca_finalize_plan()})
+            for (const PlanEntry& e : plan)
+              for (const PlanItem& it : e.items) {
+                const Widths a = allocated(it.field);
+                EXPECT_LE(it.wx, a[0]);
+                EXPECT_LE(it.wy, a[1]);
+                EXPECT_LE(it.wz, a[2]);
+                if (it.field == FieldId::kPrePhi ||
+                    it.field == FieldId::kPrePsa) {
+                  pre_y = std::max(pre_y, it.wy);
+                  pre_z = std::max(pre_z, it.wz);
+                } else if (footprint(it).is2d) {
+                  y2 = std::max(y2, it.wy);
+                } else {
+                  y3 = std::max(y3, it.wy);
+                  z3 = std::max(z3, it.wz);
+                }
+              }
+
+          // Nothing deeper than the widest item: y keeps today's exchange
+          // widths, z is the advection's 3, not 3M.
+          EXPECT_EQ(y3, 3 * M + 1);
+          EXPECT_EQ(y2, 3 * M + 2);
+          EXPECT_EQ(z3, 3);
+          EXPECT_EQ(xi.u().halo().z, 3);
+          for (FieldId f : {FieldId::kU, FieldId::kV, FieldId::kPhi})
+            EXPECT_EQ(allocated(f), (Widths{3, y3, z3}));
+          EXPECT_EQ(allocated(FieldId::kPsa), (Widths{3, y2, 0}));
+          EXPECT_EQ(allocated(FieldId::kDivsum), (Widths{3, y2, 0}));
+          // VertDiag's interface-indexed arrays add one z layer so the
+          // bottom interface of the deepest valid level exists.
+          for (FieldId f : {FieldId::kSdot, FieldId::kW, FieldId::kPhiGeo})
+            EXPECT_EQ(allocated(f), (Widths{3, y3, z3 + 1}));
+          EXPECT_EQ(pre_phi, (Widths{3, pre_y, pre_z}));
+          EXPECT_EQ(pre_psa, (Widths{3, pre_y, 0}));
+          EXPECT_EQ(pre_y, opts.fuse_smoothing ? 4 : 0);
+
+          // One minimum block: the carry declares the widths the
+          // constructor checks.
+          EXPECT_EQ(carry.min_lny, static_cast<std::uint64_t>(y3));
+          EXPECT_EQ(carry.min_lnz, static_cast<std::uint64_t>(z3));
+        });
+      }
+}
+
+TEST(CALayout, BlocksBelowTheDeepestHaloAreRefused) {
+  for (int M : {2, 3}) {
+    DycoreConfig cfg;
+    cfg.nx = 24;
+    cfg.ny = 2 * (3 * M);  // one row short of the 3M + 1 deep y halo
+    cfg.nz = 4;            // one layer short of the 3-deep z halo at pz 2
+    cfg.M = M;
+    comm::Runtime::run(2, [&](comm::Context& ctx) {
+      EXPECT_THROW(CACore(cfg, ctx, {1, 2, 1}), std::invalid_argument);
+    });
+    comm::Runtime::run(2, [&](comm::Context& ctx) {
+      EXPECT_THROW(CACore(cfg, ctx, {1, 1, 2}), std::invalid_argument);
+    });
+    cfg.ny += 2;
+    cfg.nz += 2;
+    comm::Runtime::run(2, [&](comm::Context& ctx) {
+      EXPECT_NO_THROW(CACore(cfg, ctx, {1, 2, 1}));
+    });
+    comm::Runtime::run(2, [&](comm::Context& ctx) {
+      EXPECT_NO_THROW(CACore(cfg, ctx, {1, 1, 2}));
     });
   }
 }

@@ -71,6 +71,11 @@ TEST(JobValidation, RejectsBadSpecs) {
   }
   {
     JobSpec s = tiny_spec();
+    s.config.ny = 3;
+    expect_reject(s, "ny below the 4 rows every core's mesh needs");
+  }
+  {
+    JobSpec s = tiny_spec();
     s.max_attempts = 0;
     expect_reject(s, "empty attempt budget");
   }
