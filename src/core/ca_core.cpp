@@ -82,16 +82,14 @@ void CACore::refresh_halos(state::State& s) {
 namespace {
 
 /// The carried arrays in on-disk order: the stale C products the
-/// approximate iteration reuses, then the pre-smoothing rows S2 reads.
-/// `ws` and `pre` are const when saving and mutable when restoring.
-template <typename Workspace, typename Pre, typename Visit>
-void for_each_carried(Workspace& ws, Pre& pre, Visit&& visit) {
+/// approximate iteration reuses.  `ws` is const when saving and mutable
+/// when restoring.
+template <typename Workspace, typename Visit>
+void for_each_carried(Workspace& ws, Visit&& visit) {
   visit(ws.vert.sdot);
   visit(ws.vert.w);
   visit(ws.vert.phi_geo);
   visit(ws.vert.divsum);
-  visit(pre.phi());
-  visit(pre.psa());
 }
 
 /// The 13-word geometry prefix of one carried field in the reshardable
@@ -124,9 +122,9 @@ void CACore::save_carry(util::CarryWriter& w) const {
   w.put_i64(step_count_);
   w.put_i64(have_stale_c_ ? 1 : 0);
   std::uint64_t fields = 0;
-  for_each_carried(ws_, pre_, [&](const auto&) { ++fields; });
+  for_each_carried(ws_, [&](const auto&) { ++fields; });
   w.put_u64(fields);
-  for_each_carried(ws_, pre_, [&](const auto& f) {
+  for_each_carried(ws_, [&](const auto& f) {
     for (int v : geometry(mesh_, decomp_, f))
       w.put_u64(static_cast<std::uint64_t>(v));
     w.put_doubles(f.raw());
@@ -152,14 +150,14 @@ void CACore::restore_carry(util::CarryReader& r) {
   if (stale < 0 || stale > 1)
     throw std::runtime_error("CA carry has a malformed stale-C flag");
   std::uint64_t fields = 0;
-  for_each_carried(ws_, pre_, [&](const auto&) { ++fields; });
+  for_each_carried(ws_, [&](const auto&) { ++fields; });
   if (r.get_u64() != fields)
     throw std::runtime_error("CA carry has a malformed field count");
   // Full raw spans (halos included): the resumed step's overlapped inner
   // update and its outgoing exchange rows read these arrays before any
   // exchange refreshes them.  The geometry prefix pins every field to
   // this core's exact block, and get_doubles rejects any size mismatch.
-  for_each_carried(ws_, pre_, [&](auto& f) {
+  for_each_carried(ws_, [&](auto& f) {
     bool ok = true;
     for (int v : geometry(mesh_, decomp_, f))
       ok = r.get_u64() == static_cast<std::uint64_t>(v) && ok;

@@ -84,11 +84,13 @@ class CACore {
   //     and have_stale_c_ (gates the stale-C fast path),
   //   - the stale C products ws_.vert (sdot, w, phi_geo, divsum; full
   //     arrays, halos included: the resumed step's overlapped inner
-  //     update reads them before any exchange refreshes them),
-  //   - the pre-smoothing rows of pre_ (phi and p'_sa, the components
-  //     the later smoothing S2 reads).
-  // The column anchors of the z-line collectives are not carried: every
-  // fresh C rewrites them on its face ring before reading them.
+  //     update reads them before any exchange refreshes them).
+  // Not carried: the column anchors of the z-line collectives (every
+  // fresh C rewrites them on its face ring before reading them) and the
+  // pre-smoothing copy pre_ (every fused step's former smoothing S1
+  // rewrites it, and the adaptation exchange fills its halo rows, before
+  // the later smoothing S2 reads it; the deferred smoothing finalize()
+  // applies is a full smoothing that never reads it).
   // run_campaign detects these hooks with `requires` (like finalize /
   // refresh_halos) and saves/restores the blob with each checkpoint.
   //

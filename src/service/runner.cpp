@@ -1,5 +1,6 @@
 #include "service/runner.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <mutex>
@@ -154,204 +155,134 @@ AttemptResult run_attempt(const JobSpec& spec, const AttemptOptions& o) {
         util::Timer restore_timer;
         const mesh::LatLonMesh mesh(spec.config.nx, spec.config.ny,
                                     spec.config.nz);
-        std::vector<std::byte> carry;
+        const int rank = ctx.world_rank();
         const std::string path =
-            util::checkpoint_path(checkpoint_prefix, ctx.world_rank());
-        // --- RAM replicas first.  Each rank parses its own freshest
-        // CRC-valid copy, then the world agrees the set is uniform: a
-        // usable RAM restore needs EVERY rank at the SAME step (the
-        // survivors' self copies plus the victim's buddy copy).  Any
-        // gap, mismatch, or corruption drops the whole world to disk
-        // together — never a RAM/disk mix.
-        std::int64_t ram_step = -1;
-        double ram_time = 0.0;
-        if (o.replicas != nullptr) {
-          if (auto img =
-                  o.replicas->fetch(checkpoint_prefix, ctx.world_rank())) {
-            try {
-              const auto hdr = util::parse_checkpoint_image(
+            util::checkpoint_path(checkpoint_prefix, rank);
+        std::vector<std::byte> carry;
+        // One agreed restore.  Each round every rank loads ONE candidate
+        // -- its RAM replica first (when replication is on), then its disk
+        // chain at `target` (-1 = the tip) -- and judges it locally: it
+        // parses with its CRC checked, its step lies in [start_step,
+        // spec.steps], and (sentinel on) it passes the static health
+        // check.  One allreduce(max) of {failing rank + 1, step, -step,
+        // unhealthy} then gives every rank the same verdict, so the world
+        // restores, rewinds or fails together: never a RAM/disk or
+        // mixed-step set, and never a rank left in a collective waiting
+        // for a peer that already gave up.
+        bool ram = o.replicas != nullptr;
+        std::int64_t target = -1;
+        std::string why = "cannot resume job '" + spec.name + "'";
+        while (true) {
+          std::string error;  // nonempty = this rank's candidate is invalid
+          bool unhealthy = false;
+          carry.clear();
+          try {
+            util::CheckpointHeader hdr;
+            if (ram) {
+              const auto img = o.replicas->fetch(checkpoint_prefix, rank);
+              if (!img) throw std::runtime_error("no RAM replica");
+              hdr = util::parse_checkpoint_image(
                   img->bytes, mesh, core.decomp(), xi, &carry,
-                  "replica of rank " +
-                      std::to_string(ctx.world_rank()));
-              if (hdr.step >= start_step && hdr.step <= spec.steps) {
-                ram_step = hdr.step;
-                ram_time = hdr.time_seconds;
+                  "replica of rank " + std::to_string(rank));
+            } else {
+              const auto chain = util::read_checkpoint_chain(
+                  path, mesh, core.decomp(), xi, &carry,
+                  {.max_step = target});
+              hdr = chain.header;
+              if (chain.truncated_by_corruption) {
+                // The chain fell back to its last intact element: a
+                // survivable, silent data-loss event -- exactly what the
+                // flight recorder exists to surface.
+                ctx.tracer().instant(
+                    "checkpoint_chain_fallback", "checkpoint",
+                    "chain for job '" + spec.name +
+                        "' truncated by corruption at step " +
+                        std::to_string(hdr.step));
+                ctx.tracer().dump_flight(
+                    "checkpoint chain truncated by corruption");
               }
-            } catch (const std::exception& e) {
-              ram_step = -1;
-              ctx.tracer().instant("ram_restore_fallback", "checkpoint",
-                                   e.what());
             }
+            resume = check_resume_step(hdr.step, start_step, spec,
+                                       hdr.time_seconds);
+            unhealthy = restore_unhealthy(o.health, core.op_context(), xi);
+          } catch (const std::exception& e) {
+            error = e.what();
+            if (ram)
+              ctx.tracer().instant("ram_restore_fallback", "checkpoint",
+                                   error);
           }
-          if (ram_step >= 0 &&
-              restore_unhealthy(o.health, core.op_context(), xi)) {
-            // Poisoned replica: reject it and purge the job's replica
-            // set (every copy records the same poisoned trajectory).
-            // The agreement below then drops the whole world to disk,
-            // where the chain can rewind past the poison.
-            ram_step = -1;
-            ctx.tracer().instant(
-                "ram_restore_unhealthy", "checkpoint",
-                "replica of rank " + std::to_string(ctx.world_rank()) +
-                    " failed the health check");
+          if (ram && unhealthy) {
+            // Poisoned replica: every copy records the same poisoned
+            // trajectory, so purge the job's replica set; the disk chain
+            // can rewind past the poison.
+            ctx.tracer().instant("ram_restore_unhealthy", "checkpoint",
+                                 "replica of rank " + std::to_string(rank) +
+                                     " failed the health check");
             o.replicas->erase_prefix(checkpoint_prefix);
           }
-          if (ctx.world().size() > 1) {
-            const double local[2] = {static_cast<double>(ram_step),
-                                     -static_cast<double>(ram_step)};
-            double agreed[2] = {local[0], local[1]};
-            ctx.stats().set_phase(util::Phase::kService);
-            comm::allreduce<double>(ctx, ctx.world(),
-                                    std::span<const double>(local, 2),
-                                    std::span<double>(agreed, 2),
-                                    comm::ReduceOp::kMax);
-            if (agreed[0] != -agreed[1] || agreed[0] < 0.0)
-              ram_step = -1;
-          }
-        }
-        std::int64_t hdr_step = 0;
-        double hdr_time = 0.0;
-        if (ram_step >= 0) {
-          hdr_step = ram_step;
-          hdr_time = ram_time;
-          source = RestoreSource::kRam;
-        } else {
-          carry.clear();
-          auto chain = util::read_checkpoint_chain(path, mesh,
-                                                   core.decomp(), xi,
-                                                   &carry);
-          hdr_step = chain.header.step;
-          hdr_time = chain.header.time_seconds;
-          if (chain.truncated_by_corruption) {
-            // The chain fell back to its last intact element.  That is
-            // a survivable, silent data-loss event — exactly what the
-            // flight recorder exists to surface.
-            ctx.tracer().instant(
-                "checkpoint_chain_fallback", "checkpoint",
-                "chain for job '" + spec.name +
-                    "' truncated by corruption at step " +
-                    std::to_string(hdr_step));
-            ctx.tracer().dump_flight(
-                "checkpoint chain truncated by corruption");
-          }
-          if (ctx.world().size() > 1) {
-            const double local[2] = {static_cast<double>(hdr_step),
-                                     -static_cast<double>(hdr_step)};
-            double agreed[2] = {local[0], local[1]};
-            ctx.stats().set_phase(util::Phase::kService);
-            comm::allreduce<double>(ctx, ctx.world(),
-                                    std::span<const double>(local, 2),
-                                    std::span<double>(agreed, 2),
-                                    comm::ReduceOp::kMax);
-            const auto min_tip =
-                static_cast<std::int64_t>(-agreed[1]);
-            const auto max_tip = static_cast<std::int64_t>(agreed[0]);
-            if (min_tip != max_tip) {
-              // Mixed tips.  With delta chains this is recoverable:
-              // ranks that checkpointed past the minimum rewind their
-              // chain to the common step.  The rewind attempt is made
-              // on every ahead rank and its success is agreed
-              // collectively, so either ALL ranks proceed from min_tip
-              // or ALL ranks fail the attempt together (a rank that
-              // threw alone would leave its peers hung in the next
-              // collective until the heartbeat timeout).
-              double fail = 0.0;
-              if (hdr_step != min_tip) {
-                try {
-                  carry.clear();
-                  auto rewound = util::read_checkpoint_chain(
-                      path, mesh, core.decomp(), xi, &carry,
-                      {.max_step = min_tip});
-                  hdr_step = rewound.header.step;
-                  hdr_time = rewound.header.time_seconds;
-                  if (rewound.truncated_by_corruption) {
-                    ctx.tracer().instant(
-                        "checkpoint_chain_fallback", "checkpoint",
-                        "rewound chain for job '" + spec.name +
-                            "' truncated by corruption at step " +
-                            std::to_string(hdr_step));
-                    ctx.tracer().dump_flight(
-                        "checkpoint chain truncated by corruption");
-                  }
-                } catch (const std::exception&) {
-                  fail = 1.0;
-                }
-              }
-              double any_fail = 0.0;
-              comm::allreduce<double>(
-                  ctx, ctx.world(), std::span<const double>(&fail, 1),
-                  std::span<double>(&any_fail, 1), comm::ReduceOp::kMax);
-              if (any_fail > 0.0)
-                throw std::runtime_error(
-                    "inconsistent checkpoint set for job '" + spec.name +
-                    "': rank headers record steps " +
-                    std::to_string(min_tip) + ".." +
-                    std::to_string(max_tip) +
-                    "; no common state to resume");
+          const double local[4] = {
+              error.empty() ? 0.0 : rank + 1.0,
+              static_cast<double>(resume.step),
+              -static_cast<double>(resume.step), unhealthy ? 1.0 : 0.0};
+          double agreed[4];
+          ctx.stats().set_phase(util::Phase::kService);
+          comm::allreduce<double>(ctx, ctx.world(), local, agreed,
+                                  comm::ReduceOp::kMax);
+          const auto max_step = static_cast<std::int64_t>(agreed[1]);
+          const auto min_step = static_cast<std::int64_t>(-agreed[2]);
+          const bool valid = agreed[0] == 0.0;
+          const bool healthy = agreed[3] == 0.0;
+          if (ram) {
+            // A RAM restore needs EVERY rank valid, healthy and at the
+            // same step; anything else sends the whole world to disk.
+            ram = false;
+            if (valid && healthy && min_step == max_step) {
+              source = RestoreSource::kRam;
+              break;
             }
+            continue;
           }
-          // Poisoned-tip rewind, collectively agreed: the ranks now
-          // hold a uniform-step set, so they run identical iterations
-          // of this loop — each round every rank contributes its local
-          // health verdict (a NaN lives on ONE rank), and if any is
-          // poisoned ALL ranks rewind one checkpoint cadence together.
-          // Either all proceed from a healthy common step or all fail
-          // the attempt together.
-          while (true) {
-            double bad = restore_unhealthy(o.health, core.op_context(),
-                                           xi)
-                             ? 1.0
-                             : 0.0;
-            double any_bad = bad;
-            if (ctx.world().size() > 1) {
-              ctx.stats().set_phase(util::Phase::kService);
-              comm::allreduce<double>(
-                  ctx, ctx.world(), std::span<const double>(&bad, 1),
-                  std::span<double>(&any_bad, 1), comm::ReduceOp::kMax);
-            }
-            if (any_bad == 0.0) break;
-            const std::int64_t target = hdr_step - spec.checkpoint_every;
-            double fail = 0.0;
-            if (spec.checkpoint_every <= 0 || target < start_step ||
-                target <= 0) {
-              fail = 1.0;
-            } else {
-              try {
-                carry.clear();
-                const auto rewound = util::read_checkpoint_chain(
-                    path, mesh, core.decomp(), xi, &carry,
-                    {.max_step = target});
-                hdr_step = rewound.header.step;
-                hdr_time = rewound.header.time_seconds;
-              } catch (const std::exception&) {
-                fail = 1.0;
-              }
-            }
-            double any_fail = fail;
-            if (ctx.world().size() > 1)
-              comm::allreduce<double>(
-                  ctx, ctx.world(), std::span<const double>(&fail, 1),
-                  std::span<double>(&any_fail, 1), comm::ReduceOp::kMax);
-            if (any_fail > 0.0)
+          if (!valid) {
+            const int bad = static_cast<int>(agreed[0]) - 1;
+            std::string msg = why + ": rank " + std::to_string(bad) +
+                              " has no usable checkpoint";
+            if (target >= 0) msg += " at step " + std::to_string(target);
+            if (bad == rank) msg += " (" + error + ")";
+            throw std::runtime_error(msg);
+          }
+          if (min_step != max_step) {
+            // Mixed tips: ranks that checkpointed past the minimum rewind
+            // their delta chain to the common step.
+            target = min_step;
+            why = "inconsistent checkpoint set for job '" + spec.name +
+                  "': rank headers record steps " +
+                  std::to_string(min_step) + ".." +
+                  std::to_string(max_step);
+            continue;
+          }
+          if (!healthy) {
+            // Poisoned tip: every rank rewinds one checkpoint cadence.
+            target = resume.step - spec.checkpoint_every;
+            if (spec.checkpoint_every <= 0 ||
+                target < std::max(start_step, 1))
               throw std::runtime_error(
                   "no healthy checkpoint to resume job '" + spec.name +
                   "': the chain tip and every rewindable element "
                   "failed the health check");
             ctx.tracer().instant(
                 "checkpoint_tip_poisoned", "checkpoint",
-                "rewound chain for job '" + spec.name + "' to step " +
-                    std::to_string(hdr_step) +
+                "rewinding chain for job '" + spec.name + "' to step " +
+                    std::to_string(target) +
                     " past a health-check failure");
+            why = "no healthy checkpoint to resume job '" + spec.name +
+                  "': rewinding past a health-check failure";
+            continue;
           }
           source = RestoreSource::kDisk;
+          break;
         }
-        // Header-step agreement first: the carry is per-rank data tied
-        // to the agreed step, so a mixed-step file set fails before any
-        // rank restores state from it.
-        resume = check_resume_step(hdr_step, start_step, spec,
-                                   hdr_time);
         // Cores with cross-step carry state (the CA core) restore it
-        // from the checkpoint's CRC-guarded v3 block; a checkpoint
+        // from the agreed checkpoint's CRC-guarded v3 block; a checkpoint
         // without one cannot reproduce the trajectory bitwise, so the
         // attempt fails loudly instead of resuming quietly wrong.
         if constexpr (requires(util::CarryReader& r) {

@@ -75,8 +75,13 @@ struct AttemptOptions {
   /// re-run are header.step+1 .. spec.steps — the checkpoint header, not
   /// start_step, is the source of truth, because a failed attempt may
   /// have checkpointed past the caller's mark before dying.  start_step
-  /// only bounds it from below: a header behind it (or rank headers that
-  /// disagree, for distributed jobs) fails the attempt.
+  /// only bounds it from below.  The restore is one agreed loop: each
+  /// round every rank loads one candidate (its RAM replica first, then
+  /// its disk chain at a target step, starting at the tip), checks it
+  /// locally (CRCs, step in [start_step, spec.steps], health), and one
+  /// allreduce gives every rank the same verdict.  Rank steps that
+  /// disagree retarget every chain to the minimum step; a rank without a
+  /// usable candidate fails the attempt on every rank at once.
   int start_step = 0;
   std::string checkpoint_prefix;
   /// May be null; polled at checkpoint boundaries.
@@ -113,10 +118,12 @@ struct AttemptOptions {
   int trace_pid = 0;
   /// Numerical-health sentinel for the attempt's campaign (default OFF;
   /// the pool injects its service-level default here).  When enabled,
-  /// restores are also verified: a resumed state that fails the static
-  /// bounds check is treated as a poisoned checkpoint — RAM replicas are
-  /// rejected in favor of disk, and a poisoned disk tip is rewound along
-  /// the delta chain (max_step) until a healthy cadence is found.
+  /// restores are also verified: a candidate that fails the static
+  /// bounds check on any rank is treated as poisoned — an unhealthy RAM
+  /// replica purges the job's replica set and sends every rank to disk,
+  /// and an unhealthy disk step rewinds every rank's delta chain one
+  /// checkpoint cadence (max_step) per round until all ranks hold a
+  /// healthy common step, or fails once the rewind would pass start_step.
   core::HealthOptions health{};
 };
 

@@ -93,19 +93,25 @@ void State::average(const State& x, const State& y, const mesh::Box& region) {
 
 double State::max_abs_diff(const State& a, const State& b,
                            const mesh::Box& region) {
+  // NaN-sticky fold: std::max(mx, NaN) returns mx, which would read a
+  // NaN state as "no difference".
+  const auto fold = [](double mx, double x, double y) {
+    const double d = std::abs(x - y);
+    return std::isnan(mx) || d <= mx ? mx : d;
+  };
   const mesh::Box r = clip3(a.u_, region);
   double mx = 0.0;
   for (int k = r.k0; k < r.k1; ++k)
     for (int j = r.j0; j < r.j1; ++j)
       for (int i = r.i0; i < r.i1; ++i) {
-        mx = std::max(mx, std::abs(a.u_(i, j, k) - b.u_(i, j, k)));
-        mx = std::max(mx, std::abs(a.v_(i, j, k) - b.v_(i, j, k)));
-        mx = std::max(mx, std::abs(a.phi_(i, j, k) - b.phi_(i, j, k)));
+        mx = fold(mx, a.u_(i, j, k), b.u_(i, j, k));
+        mx = fold(mx, a.v_(i, j, k), b.v_(i, j, k));
+        mx = fold(mx, a.phi_(i, j, k), b.phi_(i, j, k));
       }
   const Face f = clip2(a.psa_, region);
   for (int j = f.j0; j < f.j1; ++j)
     for (int i = f.i0; i < f.i1; ++i)
-      mx = std::max(mx, std::abs(a.psa_(i, j) - b.psa_(i, j)));
+      mx = fold(mx, a.psa_(i, j), b.psa_(i, j));
   return mx;
 }
 

@@ -58,7 +58,8 @@ class State {
     return mesh::Box{-ex, lnx() + ex, -ey, lny() + ey, -ez, lnz() + ez};
   }
 
-  /// Max |difference| over the region across all four components.
+  /// Max |difference| over the region across all four components; NaN
+  /// when any difference is NaN, so a NaN cell never compares equal.
   static double max_abs_diff(const State& a, const State& b,
                              const mesh::Box& region);
 

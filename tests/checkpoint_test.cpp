@@ -1236,7 +1236,8 @@ std::vector<std::byte> carry_with_fields(const core::DycoreConfig& c,
 TEST(CheckpointReshard, OldLayoutCACarryFailsLoudly) {
   // The CA carry used to hold ten workspace fields (the four C products
   // and six column anchors) plus two pre-smoothing rows, every array with
-  // a 3M-deep z halo.  Neither shape restores into today's core.
+  // a 3M-deep z halo; later the four C products plus the two
+  // pre-smoothing rows.  None of these shapes restores into today's core.
   const auto c = ca_cfg();
   const int M = c.M;
   const std::array<int, 3> c3{3, 3 * M + 1, 3 * M + 1};  // sdot, w, phi_geo
@@ -1251,14 +1252,21 @@ TEST(CheckpointReshard, OldLayoutCACarryFailsLoudly) {
   }();
   const CarryFields deep_z{{true, c3}, {true, c3},  {true, c3},
                            {false, c2}, {true, pre3}, {false, c2}};
-  // Today's layout (z 3 + 1 for VertDiag's interface arrays, the
-  // pre-smoothing rows 4 deep in y and flat in z) as the control.
+  // Today's C products (z 3 + 1 for VertDiag's interface arrays) as the
+  // control, and the same with the pre-smoothing rows (4 deep in y, flat
+  // in z) still appended.
   const std::array<int, 3> now3{3, 3 * M + 1, 4};
-  const CarryFields today{{true, now3},  {true, now3},      {true, now3},
-                          {false, c2},   {true, {3, 4, 0}}, {false, {3, 4, 0}}};
+  const CarryFields today{
+      {true, now3}, {true, now3}, {true, now3}, {false, c2}};
+  const CarryFields with_pre = [&] {
+    CarryFields f = today;
+    f.push_back({true, {3, 4, 0}});
+    f.push_back({false, {3, 4, 0}});
+    return f;
+  }();
 
   comm::Runtime::run(1, [&](comm::Context& ctx) {
-    for (const CarryFields* fields : {&twelve, &deep_z}) {
+    for (const CarryFields* fields : {&twelve, &deep_z, &with_pre}) {
       core::CACore core(c, ctx, {1, 1, 1}, exact_ca());
       const auto blob = carry_with_fields(c, 3 * M + 1, 3, *fields);
       CarryReader r(blob);

@@ -149,9 +149,8 @@ Widths widths(const util::Array3D<double>& a) {
 }
 Widths widths(const util::Array2D<double>& a) { return {a.hx(), a.hy(), 0}; }
 
-/// The halos of the fields a CA carry block holds, in order (the
-/// pre-smoothing rows are visible only there), and its declared minimum
-/// block extents.
+/// The halos of the fields a CA carry block holds, in order, and its
+/// declared minimum block extents.
 struct CarryShape {
   std::uint64_t min_lny = 0, min_lnz = 0;
   std::vector<Widths> halos;
@@ -211,8 +210,15 @@ TEST(CALayout, HalosAreTheWidestThePlansExchange) {
           const state::State xi = core.make_state();
           const ops::VertDiag& vert = core.workspace().vert;
           const CarryShape carry = carry_shape(core);
-          ASSERT_EQ(carry.halos.size(), 6u);
-          const Widths pre_phi = carry.halos[4], pre_psa = carry.halos[5];
+          // The carry holds the four C products only; the pre-smoothing
+          // copy is allocated from the layout's `pre` halo.
+          ASSERT_EQ(carry.halos.size(), 4u);
+          for (std::size_t f = 0; f < 3; ++f)
+            EXPECT_EQ(carry.halos[f], widths(vert.sdot));
+          EXPECT_EQ(carry.halos[3], widths(vert.divsum));
+          const state::StateHalo pre = ca_layout(core.decomp(), M, opts).pre;
+          const Widths pre_phi{pre.h3.x, pre.h3.y, pre.h3.z},
+              pre_psa{pre.hx2, pre.hy2, 0};
 
           // The halo allocated for each field a plan item can name.
           auto allocated = [&](FieldId f) -> Widths {

@@ -194,14 +194,15 @@ TEST(SubrangeCompose, AdvectionMatchesFullWindow) {
     SCOPED_TRACE(::testing::Message()
                  << "shrink (" << sx << "," << sy << "," << sz << ")");
 
+    // Local diagnostics over the tiles, then C (it reads them), then the
+    // tiled advection -- the adaptation case's order.
     ops::DiagWorkspace ws(window.i1, window.j1, window.k1, h);
-    ops::compute_vert_diag_serial(ctx, fx.xi, window, ws);
     state::State tend = fx.core.make_state();
     const auto tiles = tiles_for(window, sx, sy, sz);
-    for (const Box& b : tiles) {
-      ops::compute_local_diag(ctx, fx.xi, b, ws);
+    for (const Box& b : tiles) ops::compute_local_diag(ctx, fx.xi, b, ws);
+    ops::compute_vert_diag_serial(ctx, fx.xi, window, ws);
+    for (const Box& b : tiles)
       ops::apply_advection(ctx, fx.xi, ws.local, ws.vert, tend, b);
-    }
     const double diff =
         state::State::max_abs_diff(full_tend, tend, window);
     EXPECT_EQ(diff, 0.0) << "tiled advection diverged from full window";

@@ -6,10 +6,14 @@
 // carrying the FaultSummary of its attempts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -547,6 +551,156 @@ TEST(ServiceSoak, InconsistentCheckpointSetFailsTheAttempt) {
       << "an attempt resumed a mixed-step checkpoint set";
   EXPECT_NE(a3.error.find("inconsistent checkpoint set"), std::string::npos)
       << a3.error;
+}
+
+/// A preemption point for a 2-rank attempt: both ranks poll should_yield
+/// once per checkpoint before the collective yield decision, so the
+/// (2 * step - 1)-th poll is the first one at `step`.
+std::function<bool()> yield_at_step(int step) {
+  auto polls = std::make_shared<std::atomic<int>>(0);
+  return [polls, step] { return ++*polls >= 2 * step - 1; };
+}
+
+/// A job whose checkpoints chain as deltas: a moving state dirties every
+/// block, so each cadence degenerates to a fresh full base and there is
+/// no chain to rewind; the rest state leaves the blocks clean.
+JobSpec delta_chain_job(const char* name, CoreKind core) {
+  JobSpec j;
+  j.name = name;
+  j.core = core;
+  j.config = soak_config();
+  j.initial.kind = state::InitialCondition::kRestIsothermal;
+  j.dims = {1, 2, 1};
+  j.steps = 6;
+  j.checkpoint_every = 1;
+  return j;
+}
+
+TEST(ServiceSoak, MixedDeltaTipsRewindToTheCommonStepBitwise) {
+  // Delta chains whose tips differ across ranks (rank 1 lost its last
+  // delta): the rank that is ahead rewinds its chain to the common step,
+  // and the resumed attempt lands bitwise on the solo run.
+  const std::string dir = temp_dir("mixed_tips");
+  const std::string prefix = dir + "/job";
+  const JobSpec j = delta_chain_job("mixed_tips", CoreKind::kOriginal);
+  const state::State reference = solo_run(j, dir + "/solo");
+
+  // Attempt 1: a base at step 1 and deltas at steps 2..4 on each rank.
+  AttemptOptions o;
+  o.obs.dump_dir = dump_dir();
+  o.checkpoint_prefix = prefix;
+  o.delta_chain = 8;
+  o.should_yield = yield_at_step(4);
+  AttemptResult a1 = run_attempt(j, o);
+  ASSERT_TRUE(a1.error.empty()) << a1.error;
+  ASSERT_EQ(a1.end_step, 4);
+  ASSERT_TRUE(std::filesystem::exists(
+      util::delta_path(util::checkpoint_path(prefix, 0), 3)));
+  const std::string r1 = util::checkpoint_path(prefix, 1);
+  ASSERT_TRUE(std::filesystem::remove(util::delta_path(r1, 3)));
+
+  // Resume the way the pool does after a rank death (start_step 1): the
+  // tips read 4 and 3, so both ranks resume from step 3.
+  o.attempt = 2;
+  o.start_step = 1;
+  o.should_yield = nullptr;
+  AttemptResult a2 = run_attempt(j, o);
+  ASSERT_TRUE(a2.completed(j.steps)) << a2.error;
+  EXPECT_EQ(a2.restored_from, RestoreSource::kDisk);
+  expect_bitwise(a2.global, reference, j.name);
+}
+
+TEST(ServiceSoak, PoisonedDeltaTipRewindsToAHealthyStepBitwise) {
+  // Attempt 1 runs without the sentinel, so a NaN poked into rank 1's
+  // state after step 3 reaches its step-3 delta and both step-4 deltas.
+  // Attempt 2 runs with the sentinel: the restore finds the tip
+  // unhealthy, rewinds both ranks one cadence at a time to the healthy
+  // step 2, and completes bitwise (NaN-free) against the solo run.
+  const std::string dir = temp_dir("poisoned_tip");
+  const std::string prefix = dir + "/job";
+  JobSpec j = delta_chain_job("poisoned_tip", CoreKind::kCA);
+  const state::State reference = solo_run(j, dir + "/solo");
+  j.faults = comm::FaultPlan(5u);
+  comm::FaultRule poke;
+  poke.kind = comm::FaultKind::kCorruptState;
+  poke.step = 2;  // after the attempt's third step
+  poke.attempt = 1;
+  poke.src = 1;
+  poke.param = 0;  // a NaN in U
+  j.faults.add_rule(poke);
+
+  AttemptOptions o;
+  o.obs.dump_dir = dump_dir();
+  o.checkpoint_prefix = prefix;
+  o.delta_chain = 8;
+  o.should_yield = yield_at_step(4);
+  AttemptResult a1 = run_attempt(j, o);
+  ASSERT_TRUE(a1.error.empty()) << a1.error;
+  ASSERT_EQ(a1.end_step, 4);
+  ASSERT_EQ(a1.faults.injected_total(), 1u);
+  for (int rank = 0; rank < 2; ++rank)
+    ASSERT_TRUE(std::filesystem::exists(
+        util::delta_path(util::checkpoint_path(prefix, rank), 3)));
+
+  o.attempt = 2;
+  o.start_step = 1;
+  o.should_yield = nullptr;
+  o.health.cadence = 1;
+  AttemptResult a2 = run_attempt(j, o);
+  ASSERT_TRUE(a2.completed(j.steps)) << a2.error;
+  EXPECT_EQ(a2.restored_from, RestoreSource::kDisk);
+  expect_bitwise(a2.global, reference, j.name);
+}
+
+TEST(ServiceSoak, CorruptRankFileFailsEveryRankPromptly) {
+  // One flipped payload byte in rank 1's checkpoint: rank 1's load fails
+  // its CRC, and the agreed restore fails the attempt on every rank at
+  // once -- rank 0 must not wait out the receive deadline in a collective
+  // rank 1 never joins.
+  for (CoreKind kind : {CoreKind::kOriginal, CoreKind::kCA}) {
+    const bool ca = kind == CoreKind::kCA;
+    SCOPED_TRACE(ca ? "CA" : "original");
+    const std::string dir = temp_dir(ca ? "corrupt_ca" : "corrupt_orig");
+    const std::string prefix = dir + "/job";
+
+    JobSpec j;
+    j.name = ca ? "corrupt_ca" : "corrupt_orig";
+    j.core = kind;
+    j.config = soak_config();
+    j.dims = {1, 2, 1};
+    j.steps = 4;
+    j.checkpoint_every = 2;
+    j.comm.recv_timeout = std::chrono::seconds(30);
+
+    AttemptOptions o;
+    o.obs.dump_dir = dump_dir();
+    o.checkpoint_prefix = prefix;
+    o.should_yield = [] { return true; };
+    AttemptResult a1 = run_attempt(j, o);
+    ASSERT_TRUE(a1.error.empty()) << a1.error;
+    ASSERT_EQ(a1.end_step, 2);
+
+    const std::string r1 = util::checkpoint_path(prefix, 1);
+    {
+      std::fstream f(r1, std::ios::in | std::ios::out | std::ios::binary);
+      const auto mid =
+          static_cast<std::streamoff>(std::filesystem::file_size(r1) / 2);
+      f.seekg(mid);
+      const char b = static_cast<char>(f.get());
+      f.seekp(mid);
+      f.put(static_cast<char>(b ^ 0x01));
+    }
+
+    o.attempt = 2;
+    o.start_step = 2;
+    o.should_yield = nullptr;
+    const auto start = Clock::now();
+    AttemptResult a2 = run_attempt(j, o);
+    const double seconds = elapsed_seconds(start);
+    EXPECT_FALSE(a2.error.empty()) << "a corrupt checkpoint set resumed";
+    EXPECT_NE(a2.error.find("rank 1"), std::string::npos) << a2.error;
+    EXPECT_LT(seconds, 5.0) << "a rank waited on a peer that had failed";
+  }
 }
 
 TEST(ServiceSoak, ShutdownCancelsBackoffGates) {

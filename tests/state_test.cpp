@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/dycore_config.hpp"
 #include "mesh/decomp.hpp"
@@ -52,6 +53,20 @@ TEST(State, MaxAbsDiff) {
   b.phi()(1, 2, 1) = 0.25;
   b.psa()(2, 0) = -0.5;
   EXPECT_DOUBLE_EQ(State::max_abs_diff(a, b, a.interior()), 0.5);
+}
+
+TEST(State, MaxAbsDiffReportsNaN) {
+  // One NaN cell against a finite state must never read as "equal", even
+  // when a larger finite difference comes after it in the scan.
+  State a(4, 3, 2, test_halo()), b(4, 3, 2, test_halo());
+  a.fill(1.0);
+  b.fill(1.0);
+  b.u()(0, 0, 0) = std::numeric_limits<double>::quiet_NaN();
+  b.psa()(3, 2) = 5.0;
+  const double diff = State::max_abs_diff(a, b, a.interior());
+  EXPECT_TRUE(std::isnan(diff)) << diff;
+  EXPECT_FALSE(diff == 0.0);
+  EXPECT_TRUE(std::isnan(State::max_abs_diff(b, a, a.interior())));
 }
 
 TEST(Stratification, StandardAtmosphereProfile) {
