@@ -403,10 +403,16 @@ void run_plan(const StepPlan& plan, PlanTarget& t) {
         tr.timed(Phase::kSmoothing, [&] {
           switch (e.smoothing) {
             case Smoothing::kFormer:
-              t.pre->assign(t.xi, t.pre->extended(2, 2, 0));
-              ops::apply_smoothing_former(t.op, t.xi, t.xi.interior(),
-                                          split_north, split_south);
+            case Smoothing::kFull: {
+              // S from a copy of xi.  S1's copy is pre, which S2 reads
+              // again once the exchange has filled its halo rows; until
+              // then the rows within 2 of a split side are provisional.
+              state::State& in =
+                  e.smoothing == Smoothing::kFormer ? *t.pre : t.eta;
+              in.assign(t.xi, in.extended(2, 2, 0));
+              ops::apply_smoothing(t.op, in, t.xi, t.xi.interior());
               break;
+            }
             case Smoothing::kLater:
               // The received pre-smoothing halo rows span the owned x
               // extent only; refresh their periodic x halos before S2's
@@ -415,10 +421,6 @@ void run_plan(const StepPlan& plan, PlanTarget& t) {
               mesh::fill_x_periodic(t.pre->psa(), 2);
               ops::apply_smoothing_later(t.op, *t.pre, t.xi, t.xi.interior(),
                                          split_north, split_south);
-              break;
-            case Smoothing::kFull:
-              ops::apply_smoothing(t.op, t.xi, t.eta, t.xi.interior());
-              t.xi.assign(t.eta, t.xi.interior());
               break;
           }
         });

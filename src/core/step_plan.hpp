@@ -50,8 +50,8 @@ enum class Operator : std::uint8_t {
 };
 
 enum class Smoothing : std::uint8_t {
-  kFormer,  ///< S1: keeps the pre-smoothing rows, smooths the owned block
-  kLater,   ///< S2: completes the edge rows from the neighbors' pre rows
+  kFormer,  ///< S1: S from the pre-smoothing copy S2 reads again
+  kLater,   ///< S2: redoes the seam rows from the neighbors' pre rows
   kFull,    ///< S: the whole smoothing, after a +-2 halo exchange
 };
 

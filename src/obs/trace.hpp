@@ -38,8 +38,9 @@ struct TraceOptions {
   bool trace = false;
   /// Keep the flight-recorder ring armed and dump it on failures.
   bool dump_on_failure = true;
-  /// Ring capacity (events per rank) for the flight recorder.
-  int ring_events = 256;
+  /// Ring capacity (events per rank) for the flight recorder: 1024 holds
+  /// two original Y-Z steps at M = 3 (about 370 events each).
+  int ring_events = 1024;
   /// Directory receiving obs_dump_rank<r>.json flight dumps.
   std::string dump_dir = ".";
 

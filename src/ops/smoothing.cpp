@@ -1,25 +1,36 @@
 #include "ops/smoothing.hpp"
 
-#include <cmath>
-
 namespace ca::ops {
 namespace {
 
-/// X factor (1 - beta/16 * dlambda^4) of a 3-D field at (i, j, k).
-inline double x_factor3(const util::Array3D<double>& f, double b, int i,
-                        int j, int k) {
-  const double d4 = f(i - 2, j, k) - 4.0 * f(i - 1, j, k) +
-                    6.0 * f(i, j, k) - 4.0 * f(i + 1, j, k) +
-                    f(i + 2, j, k);
-  return f(i, j, k) - b * d4;
-}
+/// P1's x factor and P2's y fold under one set of coefficients.  The fold
+/// sums its five x factors in one fixed order (d = -2..2), so a seam row S2
+/// recomputes is bitwise the row S computes.
+struct Factors {
+  explicit Factors(const ModelParams& params) : b(params.smooth_beta / 16.0) {
+    for (int d = -2; d <= 2; ++d) a[d + 2] = smoothing_y_coeff(params, d);
+  }
 
-inline double x_factor2(const util::Array2D<double>& f, double b, int i,
-                        int j) {
-  const double d4 = f(i - 2, j) - 4.0 * f(i - 1, j) + 6.0 * f(i, j) -
-                    4.0 * f(i + 1, j) + f(i + 2, j);
-  return f(i, j) - b * d4;
-}
+  /// (1 - b dlambda^4) f at (i, j[, k]) of a 3-D or 2-D field.
+  template <class F, class... K>
+  double x(const F& f, int i, int j, K... k) const {
+    const double d4 = f(i - 2, j, k...) - 4.0 * f(i - 1, j, k...) +
+                      6.0 * f(i, j, k...) - 4.0 * f(i + 1, j, k...) +
+                      f(i + 2, j, k...);
+    return f(i, j, k...) - b * d4;
+  }
+
+  /// sum_{d=-2..2} a_d x(f) at row j + d.
+  template <class F, class... K>
+  double y_fold(const F& f, int i, int j, K... k) const {
+    double acc = 0.0;
+    for (int d = -2; d <= 2; ++d) acc += a[d + 2] * x(f, i, j + d, k...);
+    return acc;
+  }
+
+  double b;
+  double a[5];
+};
 
 }  // namespace
 
@@ -39,132 +50,49 @@ double smoothing_y_coeff(const ModelParams& params, int d) {
 
 void apply_smoothing(const OpContext& ctx, const state::State& in,
                      state::State& out, const mesh::Box& window) {
-  const double b = ctx.params.smooth_beta / 16.0;
+  const Factors p(ctx.params);
   for (int k = window.k0; k < window.k1; ++k) {
     for (int j = window.j0; j < window.j1; ++j) {
       for (int i = window.i0; i < window.i1; ++i) {
-        out.u()(i, j, k) = x_factor3(in.u(), b, i, j, k);
-        out.v()(i, j, k) = x_factor3(in.v(), b, i, j, k);
-        double acc = 0.0;
-        for (int d = -2; d <= 2; ++d)
-          acc += smoothing_y_coeff(ctx.params, d) *
-                 x_factor3(in.phi(), b, i, j + d, k);
-        out.phi()(i, j, k) = acc;
+        out.u()(i, j, k) = p.x(in.u(), i, j, k);
+        out.v()(i, j, k) = p.x(in.v(), i, j, k);
+        out.phi()(i, j, k) = p.y_fold(in.phi(), i, j, k);
       }
     }
   }
-  for (int j = window.j0; j < window.j1; ++j) {
-    for (int i = window.i0; i < window.i1; ++i) {
-      double acc = 0.0;
-      for (int d = -2; d <= 2; ++d)
-        acc += smoothing_y_coeff(ctx.params, d) *
-               x_factor2(in.psa(), b, i, j + d);
-      out.psa()(i, j) = acc;
-    }
-  }
+  for (int j = window.j0; j < window.j1; ++j)
+    for (int i = window.i0; i < window.i1; ++i)
+      out.psa()(i, j) = p.y_fold(in.psa(), i, j);
 }
-
-namespace {
-
-/// Offset range [dlo, dhi] available for row j in former smoothing.
-void available_offsets(int j, int lny, bool split_north, bool split_south,
-                       int& dlo, int& dhi) {
-  dlo = -2;
-  dhi = 2;
-  if (split_north && j < 2) dlo = -j;
-  if (split_south && j > lny - 3) dhi = lny - 1 - j;
-}
-
-}  // namespace
 
 void apply_smoothing_former(const OpContext& ctx, state::State& s,
-                            const mesh::Box& window, bool split_north,
-                            bool split_south) {
-  const double b = ctx.params.smooth_beta / 16.0;
-  const int lny = s.lny();
-  // Out-of-place per row group into temporaries: P2 rows read +-2 rows of
-  // the ORIGINAL field, so we buffer the full window result then write
-  // back.
-  state::State tmp(s.lnx(), s.lny(), s.lnz(), s.halo());
-  for (int k = window.k0; k < window.k1; ++k) {
-    for (int j = window.j0; j < window.j1; ++j) {
-      int dlo, dhi;
-      available_offsets(j, lny, split_north, split_south, dlo, dhi);
-      for (int i = window.i0; i < window.i1; ++i) {
-        tmp.u()(i, j, k) = x_factor3(s.u(), b, i, j, k);
-        tmp.v()(i, j, k) = x_factor3(s.v(), b, i, j, k);
-        double acc = 0.0;
-        for (int d = dlo; d <= dhi; ++d)
-          acc += smoothing_y_coeff(ctx.params, d) *
-                 x_factor3(s.phi(), b, i, j + d, k);
-        tmp.phi()(i, j, k) = acc;
-      }
-    }
-  }
-  for (int j = window.j0; j < window.j1; ++j) {
-    int dlo, dhi;
-    available_offsets(j, lny, split_north, split_south, dlo, dhi);
-    for (int i = window.i0; i < window.i1; ++i) {
-      double acc = 0.0;
-      for (int d = dlo; d <= dhi; ++d)
-        acc += smoothing_y_coeff(ctx.params, d) *
-               x_factor2(s.psa(), b, i, j + d);
-      tmp.psa()(i, j) = acc;
-    }
-  }
-  s.assign(tmp, window);
+                            const mesh::Box& window, bool /*split_north*/,
+                            bool /*split_south*/) {
+  const state::State in = s;
+  apply_smoothing(ctx, in, s, window);
 }
 
 void apply_smoothing_later(const OpContext& ctx, const state::State& pre,
                            state::State& s, const mesh::Box& window,
                            bool split_north, bool split_south) {
-  const double b = ctx.params.smooth_beta / 16.0;
-  const int lny = s.lny();
-
-  // Each affected row is recomputed as the COMPLETE canonical fold over
-  // d = -2..+2 from the pre-smoothing values, overwriting S1's partial
-  // result (own rows {0,1} / {lny-2,lny-1}) and the received partial rows
-  // (halo rows {-1,-2} / {lny,lny+1}).  Adding only the missing offsets on
-  // top of the partial sum would group the additions differently from the
-  // monolithic operator — a 1-ulp seam perturbation that makes y-decomposed
-  // trajectories drift from the serial ones and breaks bitwise resharding
-  // across py changes.  Reproducing apply_smoothing's exact addition order
-  // keeps them identical.  Reads pre rows j-2..j+2, i.e. pre halo rows to
-  // depth 4 for the +-2 halo rows — the fused exchange refreshes that deep.
-  auto redo_3d = [&](util::Array3D<double>& field,
-                     const util::Array3D<double>& pre_field, int j, int k,
-                     int i0, int i1) {
-    for (int i = i0; i < i1; ++i) {
-      double acc = 0.0;
-      for (int d = -2; d <= 2; ++d)
-        acc += smoothing_y_coeff(ctx.params, d) *
-               x_factor3(pre_field, b, i, j + d, k);
-      field(i, j, k) = acc;
-    }
-  };
-  auto redo_2d = [&](util::Array2D<double>& field,
-                     const util::Array2D<double>& pre_field, int j, int i0,
-                     int i1) {
-    for (int i = i0; i < i1; ++i) {
-      double acc = 0.0;
-      for (int d = -2; d <= 2; ++d)
-        acc += smoothing_y_coeff(ctx.params, d) *
-               x_factor2(pre_field, b, i, j + d);
-      field(i, j) = acc;
-    }
-  };
-
-  std::vector<int> rows;
-  if (split_north)
-    for (int j : {-2, -1, 0, 1}) rows.push_back(j);
-  if (split_south)
-    for (int j : {lny - 2, lny - 1, lny, lny + 1}) rows.push_back(j);
-
-  for (int j : rows) {
+  // Each seam row is recomputed as the complete fold from the
+  // pre-smoothing values: own rows {0,1} / {lny-2,lny-1}, which S1 smoothed
+  // from unexchanged halo rows, and the received halo rows {-2,-1} /
+  // {lny,lny+1}.  Reads pre rows j-2..j+2, i.e. pre halo rows to depth 4
+  // for the +-2 halo rows — the fused exchange refreshes that deep.
+  const Factors p(ctx.params);
+  auto redo = [&](int j) {
     for (int k = window.k0; k < window.k1; ++k)
-      redo_3d(s.phi(), pre.phi(), j, k, window.i0, window.i1);
-    redo_2d(s.psa(), pre.psa(), j, window.i0, window.i1);
-  }
+      for (int i = window.i0; i < window.i1; ++i)
+        s.phi()(i, j, k) = p.y_fold(pre.phi(), i, j, k);
+    for (int i = window.i0; i < window.i1; ++i)
+      s.psa()(i, j) = p.y_fold(pre.psa(), i, j);
+  };
+  const int lny = s.lny();
+  if (split_north)
+    for (int j = -2; j < 2; ++j) redo(j);
+  if (split_south)
+    for (int j = lny - 2; j < lny + 2; ++j) redo(j);
 }
 
 }  // namespace ca::ops

@@ -6,14 +6,15 @@
 // The operator-splitting S~ = S~2 ∘ S~1 writes P2 as a sum of y-offset
 // contributions  P2(phi)_j = sum_{d=-2..2} a_d * X(phi_{j+d})  with X the
 // x-factor and a_{0,+-1,+-2} = {1 - 6b, 4b, -b}, b = beta/16.  Former
-// smoothing (S1) applies the offsets available before the halo exchange;
-// later smoothing (S2) recomputes the seam rows as the complete canonical
-// fold from the received pre-smoothing rows, fusing the smoothing exchange
-// into the adaptation exchange (Algorithm 2 lines 5-11).  S2 deliberately
-// overwrites rather than accumulating the missing terms: reproducing the
-// monolithic operator's exact floating-point addition order keeps a
-// y-decomposed trajectory bitwise identical to the serial one, which is
-// what lets checkpoints reshard across py changes bit-for-bit.
+// smoothing (S1) is the whole S run before the halo exchange from a saved
+// pre-smoothing copy, so the rows within 2 of a split side read unexchanged
+// halo rows and stay provisional; later smoothing (S2) recomputes those seam
+// rows, and the received halo rows, as the complete fold from the exchanged
+// pre-smoothing rows, fusing the smoothing exchange into the adaptation
+// exchange (Algorithm 2 lines 5-11).  S and S2 share one fold with one
+// floating-point addition order, which keeps a y-decomposed trajectory
+// bitwise identical to the serial one and lets checkpoints reshard across
+// py changes bit-for-bit.
 #pragma once
 
 #include "mesh/halo.hpp"
@@ -31,11 +32,9 @@ double smoothing_y_coeff(const ModelParams& params, int d);
 void apply_smoothing(const OpContext& ctx, const state::State& in,
                      state::State& out, const mesh::Box& window);
 
-/// Former smoothing S1, in place.  Rows within 2 of the north (low-j) side
-/// use only offsets d >= -(distance) when split_north (the missing
-/// contributions come later); analogously for split_south.  U and V (P1,
-/// x-only) are always completed here.  The caller must have saved the
-/// pre-smoothing boundary rows (see apply_smoothing_later).
+/// S~ in place over `window`, from a copy of `s`.  The split flags are
+/// ignored: the CA core runs S1 as apply_smoothing from its pre-smoothing
+/// copy, which S2 reads again after the exchange.
 void apply_smoothing_former(const OpContext& ctx, state::State& s,
                             const mesh::Box& window, bool split_north,
                             bool split_south);

@@ -343,14 +343,23 @@ TEST(TraceExport, MultiRankRunMergesIntoValidChromeTrace) {
   EXPECT_EQ(validate_chrome_trace(util::Json::parse(ss.str())), "");
 }
 
+/// Dumps the rank's flight ring and parses the dump back.
+util::Json read_flight_dump(comm::Context& ctx, const std::string& reason) {
+  const std::string path = ctx.tracer().dump_flight(reason);
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return util::Json::parse(ss.str());
+}
+
 TEST(TraceExport, FlightDumpHoldsTheLastStepsOperatorSpans) {
   // One CA step at M = 3 records 123-161 events per rank on a 1x4x1 split
-  // of 120x48x8, so the default 256-event ring keeps a whole step.  (An
-  // original Y-Z 1x2x2 step at M = 3 records 367 and does not fit.)
+  // of 120x48x8, well inside the default ring.
   const std::string dir = temp_dir("dump_step");
   comm::RunOptions opts;
   opts.obs.dump_dir = dir;
-  ASSERT_EQ(opts.obs.ring_events, 256);
+  ASSERT_EQ(opts.obs.ring_events, 1024);
   core::DycoreConfig c = small_cfg();
   c.ny = 24;
   c.M = 3;
@@ -359,12 +368,7 @@ TEST(TraceExport, FlightDumpHoldsTheLastStepsOperatorSpans) {
     auto xi = core.make_state();
     core.initialize(xi, {.kind = state::InitialCondition::kPlanetaryWave});
     for (int s = 0; s < 3; ++s) core.step(xi);
-    const std::string path = ctx.tracer().dump_flight("after step 3");
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << path;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const util::Json doc = util::Json::parse(ss.str());
+    const util::Json doc = read_flight_dump(ctx, "after step 3");
     const auto& events = doc.find("events")->items();
     ASSERT_FALSE(events.empty());
     // Spans record when they close, so the last step closes last.
@@ -387,6 +391,45 @@ TEST(TraceExport, FlightDumpHoldsTheLastStepsOperatorSpans) {
       EXPECT_TRUE(names.count(expected))
           << "rank " << ctx.world_rank() << "'s dump lacks '" << expected
           << "' inside its last step";
+  });
+}
+
+TEST(TraceExport, DefaultFlightRingHoldsAWholeOriginalStep) {
+  // An original Y-Z 1x2x2 step at M = 3 on 128x48x8 records more events
+  // than a CA step; after two steps the default ring must still hold
+  // every event of the last one.
+  const std::string dir = temp_dir("dump_original");
+  comm::RunOptions opts;
+  opts.obs.dump_dir = dir;
+  core::DycoreConfig c = small_cfg();
+  c.nx = 128;
+  c.ny = 48;
+  c.M = 3;
+  comm::Runtime::run(4, opts, [&](comm::Context& ctx) {
+    core::OriginalCore core(c, ctx, core::DecompScheme::kYZ, {1, 2, 2});
+    auto xi = core.make_state();
+    core.initialize(xi, {.kind = state::InitialCondition::kPlanetaryWave});
+    for (int s = 0; s < 2; ++s) core.step(xi);
+    const util::Json doc = read_flight_dump(ctx, "after step 2");
+    const auto& events = doc.find("events")->items();
+    ASSERT_FALSE(events.empty());
+    const util::Json& step = events.back();
+    ASSERT_EQ(step.find("name")->as_string(), "step");
+    const double t0 = step.find("ts_us")->as_double();
+    // The ring keeps the newest events in closing order: when its oldest
+    // event closed before the last step began, every event of that step
+    // is in the ring.
+    const util::Json& oldest = events.front();
+    EXPECT_LE(oldest.find("ts_us")->as_double() +
+                  oldest.find("dur_us")->as_double(),
+              t0)
+        << "rank " << ctx.world_rank() << ": the ring lost part of the last step";
+    const auto in_step = std::count_if(
+        events.begin(), events.end(), [&](const util::Json& ev) {
+          return ev.find("ts_us")->as_double() >= t0;
+        });
+    EXPECT_GT(in_step, 256) << "rank " << ctx.world_rank()
+                            << ": a 256-event ring would have held this step";
   });
 }
 

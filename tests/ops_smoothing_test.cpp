@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/dycore_config.hpp"
 #include "mesh/decomp.hpp"
@@ -252,6 +254,115 @@ TEST(Smoothing, SplitAcrossBoundaryEqualsGlobalSmoothing) {
                                      global_out.phi()(i, d.gj(j), k)));
         }
     EXPECT_DOUBLE_EQ(mh, 0.0) << "halo rows must be completed by S2 bitwise";
+  }
+}
+
+TEST(Smoothing, S1FromCopyIgnoresUnexchangedHaloRows) {
+  // The CA core's fused path on two ranks sharing a y boundary: each copies
+  // xi into pre and runs S from pre into xi while its neighbor-side halo
+  // rows are still unexchanged (here NaN); the exchange then brings the
+  // neighbor's post-S1 rows into xi's halo and its pre-smoothing rows into
+  // pre's halo (depth 4), and S2 redoes the seam rows.  Owned and received
+  // halo rows must equal the global smoothing bitwise.
+  const int nx = 16, nz = 3, ny_half = 10, ny = 2 * ny_half;
+  mesh::LatLonMesh mesh(nx, ny, nz);
+  auto levels = mesh::SigmaLevels::uniform(nz);
+  state::Stratification strat(levels);
+  ModelParams params;
+  params.smooth_beta = 0.5;
+  mesh::DomainDecomp whole(mesh, {1, 1, 1}, {0, 0, 0});
+  const auto global = smooth_test_state(nx, ny, nz);
+  auto global_out = smooth_test_state(nx, ny, nz);
+  apply_smoothing(OpContext{&mesh, &levels, &strat, &whole, params}, global,
+                  global_out, global.interior());
+
+  struct Rank {
+    mesh::DomainDecomp d;
+    state::State xi, pre;
+  };
+  std::vector<Rank> ranks;
+  for (int half = 0; half < 2; ++half)
+    ranks.push_back({mesh::DomainDecomp(mesh, {1, 2, 1}, {0, half, 0}),
+                     state::State(nx, ny_half, nz, core::halos_for_depth(1)),
+                     state::State(nx, ny_half, nz, core::halos_for_depth(3))});
+  // Our halo row j is the neighbor's owned row j - shift(half).
+  auto shift = [&](int half) { return half == 0 ? ny_half : -ny_half; };
+  auto seam_rows = [&](int half, int depth) {  // [j0, j1) of the split halo
+    return half == 0 ? std::pair{ny_half, ny_half + depth}
+                     : std::pair{-depth, 0};
+  };
+
+  // S1: xi from the global field with NaN in its neighbor-side halo rows.
+  for (int half = 0; half < 2; ++half) {
+    Rank& r = ranks[half];
+    const auto h = r.xi.u().halo();
+    for (int k = -h.z; k < nz + h.z; ++k)
+      for (int j = -h.y; j < ny_half + h.y; ++j)
+        for (int i = -h.x; i < nx + h.x; ++i) {
+          const int gj = r.d.gj(j);
+          r.xi.u()(i, j, k) = global.u()(i, gj, k);
+          r.xi.v()(i, j, k) = global.v()(i, gj, k);
+          r.xi.phi()(i, j, k) = global.phi()(i, gj, k);
+        }
+    for (int j = -r.xi.psa().hy(); j < ny_half + r.xi.psa().hy(); ++j)
+      for (int i = -r.xi.psa().hx(); i < nx + r.xi.psa().hx(); ++i)
+        r.xi.psa()(i, j) = global.psa()(i, r.d.gj(j));
+    state::State poison(nx, ny_half, nz, core::halos_for_depth(1));
+    poison.fill(std::numeric_limits<double>::quiet_NaN());
+    const auto [j0, j1] = seam_rows(half, r.xi.psa().hy());
+    r.xi.assign(poison, {-h.x, nx + h.x, j0, j1, -h.z, nz + h.z});
+
+    r.pre.assign(r.xi, r.pre.extended(2, 2, 0));
+    apply_smoothing(OpContext{&mesh, &levels, &strat, &r.d, params}, r.pre,
+                    r.xi, r.xi.interior());
+    const int edge = half == 0 ? ny_half - 1 : 0;
+    ASSERT_TRUE(std::isnan(r.xi.phi()(0, edge, 0)))
+        << "S1 must have read the poisoned rows";
+  }
+
+  // The fused exchange: post-S1 rows into xi's halo and pre-smoothing rows
+  // into pre's halo.  The test field is not x-periodic, so pre's rows
+  // travel with their x halos instead of the core's periodic refill.
+  for (int half = 0; half < 2; ++half) {
+    Rank& r = ranks[half];
+    const Rank& n = ranks[1 - half];
+    const auto [x0, x1] = seam_rows(half, 2);
+    for (int j = x0; j < x1; ++j)
+      for (int i = 0; i < nx; ++i) {
+        for (int k = 0; k < nz; ++k) {
+          r.xi.u()(i, j, k) = n.xi.u()(i, j - shift(half), k);
+          r.xi.v()(i, j, k) = n.xi.v()(i, j - shift(half), k);
+          r.xi.phi()(i, j, k) = n.xi.phi()(i, j - shift(half), k);
+        }
+        r.xi.psa()(i, j) = n.xi.psa()(i, j - shift(half));
+      }
+    const auto [p0, p1] = seam_rows(half, 4);
+    for (int j = p0; j < p1; ++j)
+      for (int i = -2; i < nx + 2; ++i) {
+        for (int k = 0; k < nz; ++k)
+          r.pre.phi()(i, j, k) = n.pre.phi()(i, j - shift(half), k);
+        r.pre.psa()(i, j) = n.pre.psa()(i, j - shift(half));
+      }
+  }
+
+  for (int half = 0; half < 2; ++half) {
+    Rank& r = ranks[half];
+    apply_smoothing_later(OpContext{&mesh, &levels, &strat, &r.d, params},
+                          r.pre, r.xi, r.xi.interior(), half == 1,
+                          half == 0);
+    int mismatches = 0;
+    auto same = [&](double a, double b) { mismatches += !(a == b); };
+    for (int j = half == 1 ? -2 : 0; j < ny_half + (half == 0 ? 2 : 0); ++j)
+      for (int i = 0; i < nx; ++i) {
+        const int gj = r.d.gj(j);
+        for (int k = 0; k < nz; ++k) {
+          same(r.xi.u()(i, j, k), global_out.u()(i, gj, k));
+          same(r.xi.v()(i, j, k), global_out.v()(i, gj, k));
+          same(r.xi.phi()(i, j, k), global_out.phi()(i, gj, k));
+        }
+        same(r.xi.psa()(i, j), global_out.psa()(i, gj));
+      }
+    EXPECT_EQ(mismatches, 0) << "half " << half;
   }
 }
 

@@ -610,6 +610,56 @@ TEST(ServiceSoak, MixedDeltaTipsRewindToTheCommonStepBitwise) {
   expect_bitwise(a2.global, reference, j.name);
 }
 
+TEST(ServiceSoak, MixedTipsOnAMovingStateFailEveryRankPromptly) {
+  // The moving-state twin of the mixed-tip rewind: a planetary wave
+  // dirties every block, so every cadence writes a full base and no chain
+  // forms.  With rank 1's file put back to its step-3 copy, rank 0 has no
+  // step-3 element to rewind to, and the resume fails on both ranks at
+  // once instead of waiting out the receive deadline.
+  const std::string dir = temp_dir("moving_mixed_tips");
+  const std::string prefix = dir + "/job";
+  JobSpec j = delta_chain_job("moving_mixed_tips", CoreKind::kOriginal);
+  j.initial.kind = state::InitialCondition::kPlanetaryWave;
+  j.comm.recv_timeout = std::chrono::seconds(30);
+
+  AttemptOptions o;
+  o.obs.dump_dir = dump_dir();
+  o.checkpoint_prefix = prefix;
+  o.delta_chain = 8;
+  o.should_yield = yield_at_step(3);
+  AttemptResult a1 = run_attempt(j, o);
+  ASSERT_TRUE(a1.error.empty()) << a1.error;
+  ASSERT_EQ(a1.end_step, 3);
+  const std::string r1 = util::checkpoint_path(prefix, 1);
+  std::filesystem::copy_file(
+      r1, r1 + ".step3", std::filesystem::copy_options::overwrite_existing);
+
+  o.attempt = 2;
+  o.start_step = 3;
+  o.should_yield = [] { return true; };
+  AttemptResult a2 = run_attempt(j, o);
+  ASSERT_TRUE(a2.error.empty()) << a2.error;
+  ASSERT_EQ(a2.end_step, 4);
+  for (int rank = 0; rank < 2; ++rank)
+    ASSERT_FALSE(std::filesystem::exists(
+        util::delta_path(util::checkpoint_path(prefix, rank), 1)))
+        << "a moving state chained a delta";
+  std::filesystem::copy_file(
+      r1 + ".step3", r1, std::filesystem::copy_options::overwrite_existing);
+
+  o.attempt = 3;
+  o.start_step = 1;
+  o.should_yield = nullptr;
+  const auto start = Clock::now();
+  AttemptResult a3 = run_attempt(j, o);
+  const double seconds = elapsed_seconds(start);
+  EXPECT_FALSE(a3.error.empty()) << "a mixed-step checkpoint set resumed";
+  EXPECT_NE(a3.error.find("inconsistent checkpoint set"), std::string::npos)
+      << a3.error;
+  EXPECT_NE(a3.error.find("steps 3..4"), std::string::npos) << a3.error;
+  EXPECT_LT(seconds, 5.0) << "a rank waited on a peer that had failed";
+}
+
 TEST(ServiceSoak, PoisonedDeltaTipRewindsToAHealthyStepBitwise) {
   // Attempt 1 runs without the sentinel, so a NaN poked into rank 1's
   // state after step 3 reaches its step-3 delta and both step-4 deltas.
