@@ -32,9 +32,11 @@ double smoothing_y_coeff(const ModelParams& params, int d);
 void apply_smoothing(const OpContext& ctx, const state::State& in,
                      state::State& out, const mesh::Box& window);
 
-/// S~ in place over `window`, from a copy of `s`.  The split flags are
-/// ignored: the CA core runs S1 as apply_smoothing from its pre-smoothing
-/// copy, which S2 reads again after the exchange.
+/// S~ in place over `window`, from a copy of `s`.  Kept only for the
+/// replayed step in perfbench/src/dycore.cpp (ROADMAP: point the replay at
+/// apply_smoothing, then delete this and its split flags, which are
+/// ignored).  No core calls it: the CA core runs S1 as apply_smoothing
+/// from its pre-smoothing copy, which S2 reads again after the exchange.
 void apply_smoothing_former(const OpContext& ctx, state::State& s,
                             const mesh::Box& window, bool split_north,
                             bool split_south);

@@ -576,12 +576,10 @@ void CheckpointSession::write(const mesh::LatLonMesh& mesh,
   if (full) {
     atomic_write_file(path_, img);
     base_id_ = base_identity(img);
-    // Retire the old chain: a previous attempt's on the first write, later
-    // only one this session wrote.  Correctness does not depend on this —
-    // the deltas already fail the new base_id — but leaving them would
-    // grow the directory forever.  A moving state writes a full base every
-    // cadence and never scans the directory.
-    if (image_.empty() || chain_len_ > 0) remove_stale_deltas(path_);
+    // Retire the old chain.  Correctness does not depend on this — the
+    // deltas already fail the new base_id — but leaving them would grow
+    // the directory forever.
+    remove_stale_deltas(path_);
     chain_len_ = 0;
     ++stats_.full_writes;
     stats_.bytes_written += img.size();

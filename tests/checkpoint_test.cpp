@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -751,55 +750,6 @@ TEST(CheckpointDelta, FreshBaseSweepsDeltasPastAHole) {
   for (int seq : {1, 3, 4})
     EXPECT_FALSE(std::filesystem::exists(delta_path(path, seq)))
         << "stale delta .d" << seq << " survived past the hole";
-  remove_chain(path);
-}
-
-TEST(CheckpointDelta, FullBaseSweepsOnlyWhenAStaleDeltaCanExist) {
-  // A full base scans the directory for stale deltas on the session's first
-  // write (a previous attempt's chain) and when it retires a chain the
-  // session wrote; a run of full bases, which any moving state writes,
-  // does not scan.
-  const auto c = cfg();
-  mesh::LatLonMesh mesh(c.nx, c.ny, c.nz);
-  mesh::DomainDecomp d(mesh, {1, 1, 1}, {0, 0, 0});
-  const std::string path = temp_prefix("chainsweep") + ".ckpt";
-  remove_chain(path);
-
-  state::State s = patterned_state(c, 0.0);
-  {
-    CheckpointSession session(path, {.chain_cap = 8, .block_bytes = 4096});
-    for (int step = 1; step <= 4; ++step) {
-      s.u()(0, 0, 0) += 1.0;
-      session.write(mesh, d, s, step, 120.0 * step);  // base + d1..d3
-    }
-  }
-  ASSERT_TRUE(std::filesystem::exists(delta_path(path, 3)));
-
-  CheckpointSession session(path, {.chain_cap = 8, .block_bytes = 4096});
-  session.write(mesh, d, s, 5, 600.0);
-  for (int seq : {1, 2, 3})
-    EXPECT_FALSE(std::filesystem::exists(delta_path(path, seq)))
-        << "the first write left the previous attempt's .d" << seq;
-
-  for (int step = 6; step <= 7; ++step) {
-    s.u()(0, 0, 0) += 1.0;
-    session.write(mesh, d, s, step, 120.0 * step);  // d1, d2
-  }
-  ASSERT_TRUE(std::filesystem::exists(delta_path(path, 2)));
-  session.write(mesh, d, patterned_state(c, 1.0), 8, 960.0);  // all dirty
-  EXPECT_EQ(session.stats().full_writes, 2u);
-  for (int seq : {1, 2})
-    EXPECT_FALSE(std::filesystem::exists(delta_path(path, seq)))
-        << "the full base left this session's own .d" << seq;
-
-  // No delta since that base: the next full base does not scan, so a
-  // delta file this session never wrote stays where it is.
-  const std::string planted = delta_path(path, 5);
-  std::ofstream(planted) << "not a delta";
-  session.write(mesh, d, patterned_state(c, 2.0), 9, 1080.0);
-  EXPECT_EQ(session.stats().full_writes, 3u);
-  EXPECT_TRUE(std::filesystem::exists(planted));
-  std::remove(planted.c_str());
   remove_chain(path);
 }
 

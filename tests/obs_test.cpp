@@ -343,46 +343,64 @@ TEST(TraceExport, MultiRankRunMergesIntoValidChromeTrace) {
   EXPECT_EQ(validate_chrome_trace(util::Json::parse(ss.str())), "");
 }
 
-/// Dumps the rank's flight ring and parses the dump back.
-util::Json read_flight_dump(comm::Context& ctx, const std::string& reason) {
-  const std::string path = ctx.tracer().dump_flight(reason);
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << path;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return util::Json::parse(ss.str());
-}
+/// A core and shape whose flight dump, taken after `steps` steps with the
+/// default ring, must hold every event of the last step.
+struct DumpCase {
+  const char* name;
+  bool ca;  // CACore, else an original Y-Z core
+  int nx, ny, M;
+  std::array<int, 3> dims;
+  int steps;
+  int step_events_above;  // the last step records more events than this
+};
 
-TEST(TraceExport, FlightDumpHoldsTheLastStepsOperatorSpans) {
-  // One CA step at M = 3 records 123-161 events per rank on a 1x4x1 split
-  // of 120x48x8, well inside the default ring.
-  const std::string dir = temp_dir("dump_step");
+class FlightDump : public ::testing::TestWithParam<DumpCase> {};
+
+TEST_P(FlightDump, HoldsEveryEventOfTheLastStep) {
+  const DumpCase& p = GetParam();
+  const std::string dir = temp_dir(std::string("dump_") + p.name);
   comm::RunOptions opts;
   opts.obs.dump_dir = dir;
   ASSERT_EQ(opts.obs.ring_events, 1024);
   core::DycoreConfig c = small_cfg();
-  c.ny = 24;
-  c.M = 3;
-  comm::Runtime::run(2, opts, [&](comm::Context& ctx) {
-    core::CACore core(c, ctx, {1, 2, 1});
+  c.nx = p.nx;
+  c.ny = p.ny;
+  c.M = p.M;
+  auto run = [&](comm::Context& ctx, auto& core) {
     auto xi = core.make_state();
     core.initialize(xi, {.kind = state::InitialCondition::kPlanetaryWave});
-    for (int s = 0; s < 3; ++s) core.step(xi);
-    const util::Json doc = read_flight_dump(ctx, "after step 3");
+    for (int s = 0; s < p.steps; ++s) core.step(xi);
+    const std::string path = ctx.tracer().dump_flight("after the last step");
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << path;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const util::Json doc = util::Json::parse(ss.str());
     const auto& events = doc.find("events")->items();
     ASSERT_FALSE(events.empty());
-    // Spans record when they close, so the last step closes last.
+    // Spans record when they close, so the last step closes last, and the
+    // ring keeps the newest events in closing order: when its oldest event
+    // closed before the last step began, every event of that step is in
+    // the ring.
     const util::Json& step = events.back();
     ASSERT_EQ(step.find("name")->as_string(), "step");
     const double t0 = step.find("ts_us")->as_double();
     const double t1 = t0 + step.find("dur_us")->as_double();
-    EXPECT_LT(events.front().find("ts_us")->as_double(), t0)
-        << "the ring lost the start of the last step";
+    const util::Json& oldest = events.front();
+    EXPECT_LE(oldest.find("ts_us")->as_double() +
+                  oldest.find("dur_us")->as_double(),
+              t0)
+        << "rank " << ctx.world_rank()
+        << ": the ring lost part of the last step";
     std::set<std::string> names;
+    int in_step = 0;
     for (const util::Json& ev : events) {
       const double ts = ev.find("ts_us")->as_double();
-      if (ts >= t0 && ts <= t1) names.insert(ev.find("name")->as_string());
+      if (ts < t0) continue;
+      ++in_step;
+      if (ts <= t1) names.insert(ev.find("name")->as_string());
     }
+    EXPECT_GT(in_step, p.step_events_above) << "rank " << ctx.world_rank();
     for (const char* expected :
          {"exchange_post", "exchange_wait", "exchange_unpack",
           "ops.local_diag", "ops.column", "ops.adaptation", "ops.advection",
@@ -391,47 +409,31 @@ TEST(TraceExport, FlightDumpHoldsTheLastStepsOperatorSpans) {
       EXPECT_TRUE(names.count(expected))
           << "rank " << ctx.world_rank() << "'s dump lacks '" << expected
           << "' inside its last step";
-  });
+  };
+  comm::Runtime::run(p.dims[0] * p.dims[1] * p.dims[2], opts,
+                     [&](comm::Context& ctx) {
+                       if (p.ca) {
+                         core::CACore core(c, ctx, p.dims);
+                         run(ctx, core);
+                       } else {
+                         core::OriginalCore core(
+                             c, ctx, core::DecompScheme::kYZ, p.dims);
+                         run(ctx, core);
+                       }
+                     });
 }
 
-TEST(TraceExport, DefaultFlightRingHoldsAWholeOriginalStep) {
-  // An original Y-Z 1x2x2 step at M = 3 on 128x48x8 records more events
-  // than a CA step; after two steps the default ring must still hold
-  // every event of the last one.
-  const std::string dir = temp_dir("dump_original");
-  comm::RunOptions opts;
-  opts.obs.dump_dir = dir;
-  core::DycoreConfig c = small_cfg();
-  c.nx = 128;
-  c.ny = 48;
-  c.M = 3;
-  comm::Runtime::run(4, opts, [&](comm::Context& ctx) {
-    core::OriginalCore core(c, ctx, core::DecompScheme::kYZ, {1, 2, 2});
-    auto xi = core.make_state();
-    core.initialize(xi, {.kind = state::InitialCondition::kPlanetaryWave});
-    for (int s = 0; s < 2; ++s) core.step(xi);
-    const util::Json doc = read_flight_dump(ctx, "after step 2");
-    const auto& events = doc.find("events")->items();
-    ASSERT_FALSE(events.empty());
-    const util::Json& step = events.back();
-    ASSERT_EQ(step.find("name")->as_string(), "step");
-    const double t0 = step.find("ts_us")->as_double();
-    // The ring keeps the newest events in closing order: when its oldest
-    // event closed before the last step began, every event of that step
-    // is in the ring.
-    const util::Json& oldest = events.front();
-    EXPECT_LE(oldest.find("ts_us")->as_double() +
-                  oldest.find("dur_us")->as_double(),
-              t0)
-        << "rank " << ctx.world_rank() << ": the ring lost part of the last step";
-    const auto in_step = std::count_if(
-        events.begin(), events.end(), [&](const util::Json& ev) {
-          return ev.find("ts_us")->as_double() >= t0;
-        });
-    EXPECT_GT(in_step, 256) << "rank " << ctx.world_rank()
-                            << ": a 256-event ring would have held this step";
-  });
-}
+// A CA step at M = 3 records 123-161 events per rank on a 1x4x1 split of
+// 120x48x8; an original Y-Z 1x2x2 step at M = 3 on 128x48x8 records more
+// than a 256-event ring holds.
+INSTANTIATE_TEST_SUITE_P(
+    TraceExport, FlightDump,
+    ::testing::Values(DumpCase{"CA_1x2x1", true, 24, 24, 3, {1, 2, 1}, 3, 0},
+                      DumpCase{"OriginalYZ_1x2x2", false, 128, 48, 3,
+                               {1, 2, 2}, 2, 256}),
+    [](const ::testing::TestParamInfo<DumpCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- obs off = seed behavior ------------------------------------------------
 

@@ -612,10 +612,11 @@ TEST(ServiceSoak, MixedDeltaTipsRewindToTheCommonStepBitwise) {
 
 TEST(ServiceSoak, MixedTipsOnAMovingStateFailEveryRankPromptly) {
   // The moving-state twin of the mixed-tip rewind: a planetary wave
-  // dirties every block, so every cadence writes a full base and no chain
-  // forms.  With rank 1's file put back to its step-3 copy, rank 0 has no
-  // step-3 element to rewind to, and the resume fails on both ranks at
-  // once instead of waiting out the receive deadline.
+  // dirties every block of an original core's image (the state alone), so
+  // every cadence writes a full base and no chain forms.  With rank 1's
+  // file put back to its step-3 copy, rank 0 has no step-3 element to
+  // rewind to, and the resume fails on both ranks at once instead of
+  // waiting out the receive deadline.
   const std::string dir = temp_dir("moving_mixed_tips");
   const std::string prefix = dir + "/job";
   JobSpec j = delta_chain_job("moving_mixed_tips", CoreKind::kOriginal);
