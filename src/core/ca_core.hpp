@@ -56,9 +56,8 @@ class CACore {
   }
   const comm::CartTopology& topology() const { return topo_; }
   const CAOptions& options() const { return options_; }
-  /// Halo-exchange engine and polar filter (read-only; exposed so tests
-  /// and the wall-clock bench can inspect message counts and workspace
-  /// reuse counters).
+  /// Halo-exchange engine and polar filter (read-only; tests read their
+  /// message counts and workspace reuse counters).
   const HaloExchanger& exchanger() const { return exchanger_; }
   const ops::FourierFilter& filter() const { return filter_; }
 

@@ -202,7 +202,7 @@ void HaloExchanger::complete(PendingRecv& pr) {
   // spin on the request.  Blocked time is charged to "exchange_wait" —
   // the quantity the overlap hides — while unpacking stays in "exchange".
   // Both windows are obs spans, so the trace timeline shows the same
-  // seconds the bench's phase totals report.
+  // seconds the record's phase totals report.
   {
     obs::Span wait_span =
         ctx_->tracer().phase_span(util::Phase::kExchangeWait);

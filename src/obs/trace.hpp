@@ -216,8 +216,7 @@ class TraceCollector {
   std::vector<std::pair<std::pair<int, int>, std::string>> thread_names_;
 };
 
-/// Structural validation of a Chrome trace document ("" = valid, else a
-/// description of the first violation).  Used by tests and the bench gates.
+/// Structural check of a Chrome trace ("" = valid, else the first flaw).
 std::string validate_chrome_trace(const util::Json& doc);
 
 }  // namespace ca::obs

@@ -158,8 +158,7 @@ struct JobResult {
   JobMetrics metrics;
   comm::FaultSummary faults;
   std::string error;  ///< terminal failure message (kFailed only)
-  /// Gathered full-domain final state (kCompleted only) — what tests and
-  /// the bench compare bitwise against a solo run.
+  /// Gathered full-domain final state (kCompleted only).
   state::State final_state;
   /// True when an EARLIER state-taking snapshot already moved the final
   /// state out: final_state above is then default-constructed (empty),

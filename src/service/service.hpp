@@ -66,8 +66,7 @@ class EnsembleService {
 
 /// Schema check of a service report; returns a description of the first
 /// problem, or empty when the document conforms to the current (v6)
-/// schema; any other schema tag is rejected.  Used by the bench's
-/// self-check and tests.
+/// schema; any other schema tag is rejected.
 std::string validate_report(const util::Json& doc);
 
 }  // namespace ca::service

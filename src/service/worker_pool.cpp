@@ -427,14 +427,18 @@ std::string WorkerPool::refit_job(Job& job, int target) {
 void WorkerPool::fail_job(Job& job, const std::string& error) {
   job.error = error;
   job.state = JobState::kFailed;
+  finish_job(job, Clock::now());
+}
+
+void WorkerPool::finish_job(Job& job, Clock::time_point now) {
+  // Terminal jobs never resume; release their RAM images.
   if (!job.checkpoint_prefix.empty())
     replicas_.erase_prefix(job.checkpoint_prefix);
   if (job.metrics.run_seconds > 0.0)
     job.metrics.steps_per_second = job.steps_done / job.metrics.run_seconds;
   if (job.spec.deadline_seconds > 0.0)
     job.metrics.deadline_missed =
-        seconds_between(job.submitted_at, Clock::now()) >
-        job.spec.deadline_seconds;
+        seconds_between(job.submitted_at, now) > job.spec.deadline_seconds;
   --in_flight_;
   done_cv_.notify_all();
 }
@@ -679,6 +683,10 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
     // the buddy copy the victim pushed to rank (dead+1) % n.
     replicas_.invalidate_depositor(job->checkpoint_prefix, out.dead_rank);
   }
+  // A completed job never resumes: its checkpoint files go before it
+  // turns terminal (so drain() finds them gone); a failed job keeps them.
+  if (out.completed(job->spec.steps) && job->spec.checkpoint_every > 0)
+    util::remove_checkpoint_set(job->checkpoint_prefix, job->ranks());
 
   std::lock_guard<std::mutex> lk(mu_);
   accrue_busy_time();
@@ -840,18 +848,7 @@ void WorkerPool::execute(const std::shared_ptr<Job>& job) {
     terminal = true;
   }
 
-  if (terminal) {
-    // Terminal jobs never resume; release their RAM images.
-    replicas_.erase_prefix(job->checkpoint_prefix);
-    if (job->metrics.run_seconds > 0.0)
-      job->metrics.steps_per_second =
-          job->steps_done / job->metrics.run_seconds;
-    if (job->spec.deadline_seconds > 0.0)
-      job->metrics.deadline_missed =
-          seconds_between(job->submitted_at, now) > job->spec.deadline_seconds;
-    --in_flight_;
-    done_cv_.notify_all();
-  }
+  if (terminal) finish_job(*job, now);
   work_cv_.notify_all();
 }
 

@@ -230,8 +230,10 @@ class WorkerPool {
   /// Returns false when the job was terminally failed instead of queued
   /// (fail_job has then already done the in_flight_ bookkeeping).
   bool push_job_checked(const std::shared_ptr<Job>& job);
-  /// Under lock: mark a job failed and notify (caller handles in_flight_).
+  /// Under lock: mark a job failed and finish it.
   void fail_job(Job& job, const std::string& error);
+  /// Under lock: a terminal job's metrics and in_flight_; wakes drain().
+  void finish_job(Job& job, std::chrono::steady_clock::time_point now);
 
   PoolOptions options_;
   /// RAM replica cache shared by every job's attempts; own mutex, never

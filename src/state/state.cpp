@@ -12,10 +12,6 @@ State::State(int lnx, int lny, int lnz, const StateHalo& halo)
       phi_(lnx, lny, lnz, halo.h3),
       psa_(lnx, lny, halo.hx2, halo.hy2) {}
 
-StateHalo State::halo() const {
-  return StateHalo{u_.halo(), psa_.hx(), psa_.hy()};
-}
-
 void State::fill(double value) {
   u_.fill(value);
   v_.fill(value);

@@ -37,7 +37,6 @@ class State {
   int lnx() const { return u_.nx(); }
   int lny() const { return u_.ny(); }
   int lnz() const { return u_.nz(); }
-  StateHalo halo() const;
 
   void fill(double value);
 

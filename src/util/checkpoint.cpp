@@ -201,6 +201,13 @@ void remove_stale_deltas(const std::string& base_path) {
 
 }  // namespace
 
+void remove_checkpoint_set(const std::string& prefix, int ranks) {
+  for (int r = 0; r < ranks; ++r) {
+    std::remove(checkpoint_path(prefix, r).c_str());
+    remove_stale_deltas(checkpoint_path(prefix, r));
+  }
+}
+
 CheckpointIoCounters checkpoint_io() {
   CheckpointIoCounters c;
   c.files_written = g_files_written.load(std::memory_order_relaxed);

@@ -200,6 +200,9 @@ CheckpointHeader read_checkpoint(const std::string& path,
 /// Conventional per-rank file name: <prefix>.rank<r>.ckpt
 std::string checkpoint_path(const std::string& prefix, int rank);
 
+/// Removes ranks [0, ranks)'s base and delta files under `prefix`.
+void remove_checkpoint_set(const std::string& prefix, int ranks);
+
 /// Name of the seq-th delta file of the chain rooted at `path`
 /// (1-based): `<path>.d<seq>`.
 std::string delta_path(const std::string& path, int seq);
@@ -307,8 +310,7 @@ struct CheckpointWriteStats {
   std::uint64_t full_writes = 0;   ///< cadences that wrote a full base
   std::uint64_t delta_writes = 0;  ///< cadences that wrote a delta
   std::uint64_t bytes_written = 0;  ///< actual file bytes
-  /// What writing a full file every cadence would have cost — the
-  /// bench's "steady-state checkpoint bytes" baseline.
+  /// What writing a full file every cadence would have cost.
   std::uint64_t full_equivalent_bytes = 0;
 };
 

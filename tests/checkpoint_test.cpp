@@ -19,6 +19,7 @@
 #include "core/ca_core.hpp"
 #include "core/exchange.hpp"
 #include "core/original_core.hpp"
+#include "core/serial_core.hpp"
 #include "util/checkpoint.hpp"
 
 namespace ca::util {
@@ -751,6 +752,77 @@ TEST(CheckpointDelta, FreshBaseSweepsDeltasPastAHole) {
     EXPECT_FALSE(std::filesystem::exists(delta_path(path, seq)))
         << "stale delta .d" << seq << " survived past the hole";
   remove_chain(path);
+}
+
+struct ChainBytes {
+  CheckpointWriteStats stats;
+  state::State tip;  // read back from disk
+};
+
+/// Runs the serial core 2 warm-up steps, then writes one checkpoint per
+/// step for 8 cadences at `chain_cap` (0 = full writes only).  The tip
+/// read back from disk must be the writer's state at step 10, bitwise.
+ChainBytes write_cadences(state::InitialCondition ic, int chain_cap,
+                          const char* tag) {
+  core::DycoreConfig c;
+  c.nx = 16;
+  c.ny = 16;
+  c.nz = 4;
+  c.M = 2;
+  c.z_allreduce = comm::AllreduceAlgorithm::kLinearOrdered;
+  constexpr int kWarmup = 2, kCadences = 8;
+  core::SerialCore core(c);
+  auto xi = core.make_state();
+  core.initialize(xi, {.kind = ic});
+  core.run(xi, kWarmup);
+  const std::string path = temp_prefix(tag) + ".ckpt";
+  remove_chain(path);
+  CheckpointSession session(path,
+                            {.chain_cap = chain_cap, .block_bytes = 4096});
+  for (int cad = 1; cad <= kCadences; ++cad) {
+    core.run(xi, 1);
+    session.write(core.mesh(), core.decomp(), xi, kWarmup + cad,
+                  120.0 * (kWarmup + cad));
+  }
+  ChainBytes out{session.stats(), core.make_state()};
+  const auto tip =
+      read_checkpoint_chain(path, core.mesh(), core.decomp(), out.tip);
+  EXPECT_EQ(tip.header.step, kWarmup + kCadences) << tag;
+  EXPECT_EQ(state::State::max_abs_diff(xi, out.tip, xi.interior()), 0.0)
+      << tag << ": resume is not bitwise";
+  remove_chain(path);
+  return out;
+}
+
+TEST(CheckpointDelta, SteadyStateChainSavesBytesAndLandsOnItsFullTwin) {
+  // The rest state barely changes between cadences, so the chain must
+  // write at least 3x fewer bytes than full writes and still land on the
+  // bytes its full-write twin put on disk.
+  const auto rest = state::InitialCondition::kRestIsothermal;
+  const ChainBytes full = write_cadences(rest, 0, "steady_full");
+  const ChainBytes delta = write_cadences(rest, 8, "steady_delta");
+  EXPECT_EQ(full.stats.delta_writes, 0u) << "deltas with the chain off";
+  EXPECT_GE(static_cast<double>(delta.stats.full_equivalent_bytes),
+            3.0 * static_cast<double>(delta.stats.bytes_written))
+      << "the steady-state chain saved less than 3x";
+  EXPECT_EQ(
+      state::State::max_abs_diff(full.tip, delta.tip, full.tip.interior()),
+      0.0)
+      << "the chain diverged from its full-write twin";
+}
+
+TEST(CheckpointDelta, MovingStateChainNeverWritesMoreThanFullMode) {
+  // On a planetary wave every block is dirty each cadence; a delta that
+  // would cost the full file writes a fresh base instead.
+  const auto wave = state::InitialCondition::kPlanetaryWave;
+  const ChainBytes full = write_cadences(wave, 0, "wave_full");
+  const ChainBytes delta = write_cadences(wave, 8, "wave_delta");
+  EXPECT_EQ(full.stats.delta_writes, 0u) << "deltas with the chain off";
+  EXPECT_LE(delta.stats.bytes_written, delta.stats.full_equivalent_bytes);
+  EXPECT_EQ(
+      state::State::max_abs_diff(full.tip, delta.tip, full.tip.interior()),
+      0.0)
+      << "the chain diverged from its full-write twin";
 }
 
 // --- crash-atomic reshard --------------------------------------------------

@@ -5,7 +5,9 @@
 // of the pooled exchange buffers and filter workspaces.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <ostream>
 #include <random>
 
 #include "comm/fault.hpp"
@@ -13,6 +15,7 @@
 #include "comm/topology.hpp"
 #include "core/ca_core.hpp"
 #include "core/exchange.hpp"
+#include "core/original_core.hpp"
 #include "mesh/decomp.hpp"
 
 namespace ca::core {
@@ -251,32 +254,83 @@ DycoreConfig steady_config() {
   return c;
 }
 
-TEST(SteadyState, ExchangePoolsStopGrowingAfterWarmup) {
-  comm::Runtime::run(4, [&](comm::Context& ctx) {
-    CACore core(steady_config(), ctx, {1, 4, 1});
-    auto xi = core.make_state();
-    state::InitialOptions opt;
-    opt.kind = state::InitialCondition::kPlanetaryWave;
-    core.initialize(xi, opt);
-    // Warm-up: two steps, because the CA core's first step exchanges a
-    // smaller item set (no previous state yet) — capacities converge
-    // once every exchange shape has run once.
-    core.step(xi);
-    core.step(xi);
-    const std::uint64_t allocs = ctx.stats().pool().allocations;
-    const std::uint64_t reuses = ctx.stats().pool().reuses;
-    EXPECT_GT(allocs, 0u) << "warm-up must have populated the pools";
-    core.step(xi);
-    core.step(xi);
-    EXPECT_EQ(ctx.stats().pool().allocations, allocs)
-        << "exchange grew a pool buffer after warm-up";
-    EXPECT_GT(ctx.stats().pool().reuses, reuses)
-        << "steady-state steps must be served from the pools";
-    core.finalize(xi);
+/// A small two-rank mesh: 16x16x4 at M = 2 (ny/py = 8 >= 3M + 1 for the
+/// CA core).
+DycoreConfig small_config() {
+  DycoreConfig c;
+  c.nx = 16;
+  c.ny = 16;
+  c.nz = 4;
+  c.M = 2;
+  c.z_allreduce = comm::AllreduceAlgorithm::kLinearOrdered;
+  return c;
+}
+
+struct PoolCase {
+  const char* name;
+  DycoreConfig (*config)();
+  bool ca;
+  DecompScheme scheme;  // only read for the original core
+  std::array<int, 3> dims;
+};
+
+void PrintTo(const PoolCase& c, std::ostream* os) { *os << c.name; }
+
+class SteadyState : public ::testing::TestWithParam<PoolCase> {};
+
+TEST_P(SteadyState, ExchangePoolsStopGrowingAfterWarmup) {
+  const PoolCase& c = GetParam();
+  const DycoreConfig cfg = c.config();
+  comm::Runtime::run(c.dims[0] * c.dims[1] * c.dims[2],
+                     [&](comm::Context& ctx) {
+    auto check = [&](auto& core) {
+      auto xi = core.make_state();
+      state::InitialOptions opt;
+      opt.kind = state::InitialCondition::kPlanetaryWave;
+      core.initialize(xi, opt);
+      // Warm-up: two steps, because the CA core's first step exchanges a
+      // smaller item set (no previous state yet) — capacities converge
+      // once every exchange shape has run once.
+      core.step(xi);
+      core.step(xi);
+      const std::uint64_t allocs = ctx.stats().pool().allocations;
+      const std::uint64_t reuses = ctx.stats().pool().reuses;
+      EXPECT_GT(allocs, 0u) << "warm-up must have populated the pools";
+      core.step(xi);
+      core.step(xi);
+      EXPECT_EQ(ctx.stats().pool().allocations, allocs)
+          << "exchange grew a pool buffer after warm-up";
+      EXPECT_GT(ctx.stats().pool().reuses, reuses)
+          << "steady-state steps must be served from the pools";
+    };
+    if (c.ca) {
+      CACore core(cfg, ctx, c.dims);
+      check(core);
+    } else {
+      OriginalCore core(cfg, ctx, c.scheme, c.dims);
+      check(core);
+    }
   });
 }
 
-TEST(SteadyState, FilterWorkspaceStopsGrowingAfterWarmup) {
+// The CA core at its 4-rank Y split, and on the small mesh the original
+// core's Y-Z 1xN, X-Y Nx1 and Y-Z NxM grids and the CA core's Y-Z 1xN.
+INSTANTIATE_TEST_SUITE_P(
+    CoresAndGrids, SteadyState,
+    ::testing::Values(
+        PoolCase{"ca_yz_1x4x1", steady_config, true, DecompScheme::kYZ,
+                 {1, 4, 1}},
+        PoolCase{"original_yz_1x2x1", small_config, false, DecompScheme::kYZ,
+                 {1, 2, 1}},
+        PoolCase{"original_xy_2x1x1", small_config, false, DecompScheme::kXY,
+                 {2, 1, 1}},
+        PoolCase{"original_yz_1x1x2", small_config, false, DecompScheme::kYZ,
+                 {1, 1, 2}},
+        PoolCase{"ca_yz_1x2x1", small_config, true, DecompScheme::kYZ,
+                 {1, 2, 1}}),
+    [](const ::testing::TestParamInfo<PoolCase>& i) { return i.param.name; });
+
+TEST_F(SteadyState, FilterWorkspaceStopsGrowingAfterWarmup) {
   comm::Runtime::run(2, [&](comm::Context& ctx) {
     CACore core(steady_config(), ctx, {1, 2, 1});
     auto xi = core.make_state();

@@ -19,12 +19,15 @@
 
 #include "comm/fault.hpp"
 #include "core/dycore_config.hpp"
+#include "core/diagnostics.hpp"
 #include "core/health.hpp"
+#include "core/serial_core.hpp"
 #include "service/replica.hpp"
 #include "service/runner.hpp"
 #include "service/service.hpp"
 #include "state/state.hpp"
 #include "util/checkpoint.hpp"
+#include "util/timer.hpp"
 #include "dump_dir.hpp"
 
 namespace ca::service {
@@ -190,6 +193,48 @@ TEST(HealthSentinel, StaticChecksCatchNonFiniteAndBounds) {
   EXPECT_NE(
       core::HealthSentinel::check_static(opts, psa).find("surface-pressure"),
       std::string::npos);
+}
+
+TEST(HealthSentinel, CadenceOneCostsUnderOnePercentOfASerialStep) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "timing gate: sanitizers slow the check, not the step";
+#endif
+  // At the service's default cadence the sentinel runs every step: one
+  // local_diagnostics sweep plus the verdict.  On the 16x16x4, M = 2 mesh
+  // that costs under 1% of one serial step, timed after two warm-up
+  // steps.  At cadence 0 the campaign loop never reaches any of it.
+  core::DycoreConfig cfg;
+  cfg.nx = 16;
+  cfg.ny = 16;
+  cfg.nz = 4;
+  cfg.M = 2;
+  cfg.z_allreduce = comm::AllreduceAlgorithm::kLinearOrdered;
+  core::SerialCore ref(cfg);
+  auto xr = ref.make_state();
+  ref.initialize(xr, {.kind = state::InitialCondition::kPlanetaryWave});
+  ref.run(xr, 2);
+  const util::Timer step_timer;
+  ref.run(xr, 1);
+  const double step_seconds = step_timer.seconds();
+
+  core::SerialCore score(cfg);
+  auto xi = score.make_state();
+  score.initialize(xi, {.kind = state::InitialCondition::kPlanetaryWave});
+  score.run(xi, 1);  // measure on a physical state, not the IC
+  core::HealthOptions hopts;
+  hopts.cadence = 1;
+  core::HealthSentinel sentinel(hopts);
+  constexpr int kChecks = 200;
+  const util::Timer check_timer;
+  for (int i = 0; i < kChecks; ++i)
+    ASSERT_EQ(sentinel.check(core::local_diagnostics(score.op_context(), xi)),
+              "")
+        << "the sentinel tripped on a healthy state";
+  const double check_seconds = check_timer.seconds() / kChecks;
+  ASSERT_GT(step_seconds, 0.0);
+  EXPECT_LT(check_seconds / step_seconds, 0.01)
+      << check_seconds * 1e6 << " us a check against a "
+      << step_seconds * 1e3 << " ms serial step";
 }
 
 // --- detection latency and containment (single attempts) -----------------

@@ -435,6 +435,79 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// --- tracing-off overhead ----------------------------------------------------
+
+TEST(TimingGate, DisabledSpansCostUnderOnePercentOfAStep) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "timing gate: sanitizers slow the spans, not the step";
+#endif
+  // The tracing hooks stay in the build with obs.trace off, so their
+  // residual cost must vanish next to a dynamics step.  Priced as the
+  // micro cost of a disabled span times the events the busiest rank
+  // records in one traced step, against the tracing-off step (slowest
+  // rank, after two warm-up steps) of the original Y-Z {1,2,1} core on
+  // the 16x16x4, M = 2 mesh.
+  core::DycoreConfig cfg;
+  cfg.nx = 16;
+  cfg.ny = 16;
+  cfg.nz = 4;
+  cfg.M = 2;
+  cfg.z_allreduce = comm::AllreduceAlgorithm::kLinearOrdered;
+  constexpr int kRanks = 2, kSteps = 1;
+  std::mutex mu;
+  auto run_original = [&](const comm::RunOptions& opts, int warmup,
+                          auto&& on_rank) {
+    comm::Runtime::run(kRanks, opts, [&](comm::Context& ctx) {
+      core::OriginalCore core(cfg, ctx, core::DecompScheme::kYZ,
+                              {1, kRanks, 1});
+      auto xi = core.make_state();
+      core.initialize(xi,
+                      {.kind = state::InitialCondition::kPlanetaryWave});
+      core.run(xi, warmup);
+      const util::Timer timer;
+      core.run(xi, kSteps);
+      const double wall = timer.seconds();
+      std::lock_guard<std::mutex> lock(mu);
+      on_rank(ctx, wall);
+    });
+  };
+
+  double step_seconds = 0.0;
+  run_original(comm::RunOptions{}, 2, [&](comm::Context&, double wall) {
+    step_seconds = std::max(step_seconds, wall / kSteps);
+  });
+
+  TraceOptions off;
+  off.trace = false;
+  off.dump_on_failure = false;
+  Tracer tracer;
+  tracer.configure(off, /*tid=*/0);
+  constexpr int kSpans = 1 << 21;
+  const util::Timer span_timer;
+  for (int i = 0; i < kSpans; ++i) {
+    Span s = tracer.span("noop", "bench");
+  }
+  const double span_seconds = span_timer.seconds() / kSpans;
+
+  TraceCollector collector;
+  comm::RunOptions traced;
+  traced.obs.trace = true;
+  traced.obs.dump_on_failure = false;
+  traced.obs.ring_events = 1 << 16;
+  traced.trace_sink = &collector;
+  std::uint64_t events = 0;
+  run_original(traced, 0, [&](comm::Context& ctx, double) {
+    events = std::max<std::uint64_t>(events, ctx.tracer().recorded());
+  });
+  EXPECT_GT(collector.event_count(), 0u) << "the traced twin flushed nothing";
+
+  ASSERT_GT(step_seconds, 0.0);
+  const double spans_per_step = static_cast<double>(events) / kSteps;
+  EXPECT_LT(span_seconds * spans_per_step / step_seconds, 0.01)
+      << span_seconds * 1e9 << " ns a disabled span x " << spans_per_step
+      << " spans against a " << step_seconds * 1e3 << " ms step";
+}
+
 // --- obs off = seed behavior ------------------------------------------------
 
 TEST(TraceExport, TracingDoesNotChangeModelStateBitwise) {

@@ -8,12 +8,17 @@
 // decomposition tolerance when the pool had to reshape it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "comm/context.hpp"
 #include "comm/error.hpp"
@@ -22,6 +27,7 @@
 #include "comm/topology.hpp"
 #include "core/exchange.hpp"
 #include "mesh/decomp.hpp"
+#include "obs/trace.hpp"
 #include "service/replica.hpp"
 #include "service/runner.hpp"
 #include "service/service.hpp"
@@ -438,6 +444,142 @@ TEST(RankFailureService, HangRecoversBitwiseUnderEveryCore) {
         << "hang recovery diverged from the fault-free run";
     EXPECT_EQ(svc::validate_report(service.report()), "");
   }
+}
+
+/// A 3-slot, 4-rank pool, and a 6-step original-core victim that loses
+/// pool rank 0 at step 1.
+svc::ServiceOptions pool_options(const std::string& dir) {
+  svc::ServiceOptions opt;
+  opt.obs.dump_dir = dump_dir();
+  opt.slots = 3;
+  opt.rank_budget = 4;
+  opt.queue_capacity = 64;
+  opt.checkpoint_dir = dir;
+  return opt;
+}
+
+svc::JobSpec pool_victim(const std::string& name) {
+  svc::JobSpec s = faulted_spec(name, svc::CoreKind::kOriginal, {1, 2, 1},
+                                comm::FaultKind::kKillRank);
+  s.steps = 6;
+  return s;
+}
+
+TEST(RankFailureService, KillRecoveryKeepsTwoJobsInFlight) {
+  // Scheduling must not pause for a recovery: two serial bystanders
+  // overlap the victim's detection and re-queue window.
+  const std::string dir = temp_dir("bystanders");
+  const svc::JobSpec victim = pool_victim("victim");
+  const state::State reference = solo_run(victim, dir + "/solo");
+
+  svc::EnsembleService service(pool_options(dir));
+  std::vector<int> ids{service.submit(victim)};
+  // The victim must own pool ranks {0, 1} (the lowest free ids) before
+  // the bystanders arrive, so the kill lands on its assignment.
+  const auto start = Clock::now();
+  while (service.state(ids.front()) == svc::JobState::kQueued) {
+    ASSERT_LT(elapsed_seconds(start), 30.0) << "the victim never started";
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  svc::JobSpec bystander;
+  bystander.core = svc::CoreKind::kSerial;
+  bystander.config = small_config();
+  bystander.steps = 8;
+  for (int i = 0; i < 2; ++i) {
+    bystander.name = "bystander" + std::to_string(i);
+    ids.push_back(service.submit(bystander));
+  }
+  service.drain();
+
+  const svc::JobResult r = service.result(ids.front());
+  ASSERT_EQ(r.state, svc::JobState::kCompleted) << r.error;
+  EXPECT_GE(r.metrics.rank_recoveries, 1)
+      << "the kill never fired; the scenario is vacuous";
+  EXPECT_EQ(state::State::max_abs_diff(r.final_state, reference,
+                                       reference.interior()),
+            0.0)
+      << "rank-kill recovery diverged from the fault-free run";
+  for (int id : ids)
+    EXPECT_EQ(service.state(id), svc::JobState::kCompleted) << "job " << id;
+  const util::Json report = service.report();
+  EXPECT_EQ(svc::validate_report(report), "");
+  EXPECT_GE(report.find("service")->find("max_concurrent_jobs")->as_double(),
+            2.0)
+      << "fewer than 2 jobs were ever in flight around the recovery";
+}
+
+/// Per (pid, tid) timeline of a Chrome trace, the fraction of each
+/// "campaign" span's wall that the union of the other complete spans
+/// covers; the minimum over timelines, or -1 when none has a campaign.
+double min_campaign_coverage(const util::Json& trace) {
+  struct Span {
+    double begin, end;
+    bool campaign;
+  };
+  std::map<std::pair<int, int>, std::vector<Span>> lines;
+  for (const auto& e : trace.find("traceEvents")->items()) {
+    if (e.find("ph")->as_string() != "X") continue;
+    const double ts = e.find("ts")->as_double();
+    lines[{static_cast<int>(e.find("pid")->as_double()),
+           static_cast<int>(e.find("tid")->as_double())}]
+        .push_back({ts, ts + e.find("dur")->as_double(),
+                    e.find("name")->as_string() == "campaign"});
+  }
+  double min_cov = -1.0;
+  for (const auto& [line, spans] : lines) {
+    double total = 0.0, covered = 0.0;
+    for (const Span& w : spans) {
+      if (!w.campaign) continue;
+      total += w.end - w.begin;
+      std::vector<std::pair<double, double>> clipped;
+      for (const Span& s : spans) {
+        const double b = std::max(s.begin, w.begin);
+        const double e = std::min(s.end, w.end);
+        if (!s.campaign && e > b) clipped.emplace_back(b, e);
+      }
+      std::sort(clipped.begin(), clipped.end());
+      double cursor = w.begin;
+      for (const auto& [b, e] : clipped) {
+        if (e <= cursor) continue;
+        covered += e - std::max(b, cursor);
+        cursor = e;
+      }
+    }
+    if (total > 0.0)
+      min_cov = min_cov < 0.0 ? covered / total
+                              : std::min(min_cov, covered / total);
+  }
+  return min_cov;
+}
+
+TEST(RankFailureService, TracedFailoverSpansCoverEveryCampaign) {
+  // With tracing on, the merged Chrome trace of a rank-kill failover must
+  // validate, and on every rank's timeline the spans inside each
+  // "campaign" span (steps, exchanges, waits, collectives, checkpoint
+  // writes) must cover >= 95% of its wall: untraced time means the
+  // timeline lies about where the failover went.
+  const std::string dir = temp_dir("traced_failover");
+  obs::TraceCollector collector;
+  svc::ServiceOptions opt = pool_options(dir);
+  opt.obs.trace = true;
+  opt.obs.ring_events = 1 << 14;
+  opt.trace_sink = &collector;
+  {
+    svc::EnsembleService service(opt);
+    const int id = service.submit(pool_victim("victim_traced"));
+    service.drain();
+    const svc::JobResult r = service.result(id);
+    ASSERT_EQ(r.state, svc::JobState::kCompleted) << r.error;
+    EXPECT_GE(r.metrics.rank_recoveries, 1)
+        << "the kill never fired; the scenario is vacuous";
+  }  // the service's destructor flushes the scheduler's ring
+
+  const util::Json trace = collector.chrome_trace();
+  EXPECT_EQ(obs::validate_chrome_trace(trace), "");
+  const double coverage = min_campaign_coverage(trace);
+  EXPECT_GE(coverage, 0.95)
+      << "campaign span coverage " << coverage
+      << " (-1: no rank timeline has a campaign span)";
 }
 
 TEST(RankFailureService, CircuitBreakerRetiresAndReshapesTheJob) {

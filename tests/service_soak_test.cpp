@@ -6,6 +6,7 @@
 // carrying the FaultSummary of its attempts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -14,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -422,6 +424,95 @@ TEST(ServiceSoak, CAElasticSqueezeAndRegrowBitwise) {
   ASSERT_NE(s, nullptr);
   EXPECT_GE(s->find("elastic_shrinks")->as_double(), 1.0);
   EXPECT_GE(s->find("elastic_grows")->as_double(), 1.0);
+}
+
+/// A 3-slot, 4-rank pool.
+ServiceOptions pool_options(const std::string& dir) {
+  ServiceOptions opt;
+  opt.obs.dump_dir = dump_dir();
+  opt.slots = 3;
+  opt.rank_budget = 4;
+  opt.queue_capacity = 64;
+  opt.checkpoint_dir = dir;
+  return opt;
+}
+
+JobSpec original_job(const std::string& name, int steps,
+                     std::array<int, 3> dims, int priority) {
+  JobSpec j;
+  j.name = name;
+  j.core = CoreKind::kOriginal;
+  j.config = soak_config();
+  j.dims = dims;
+  j.steps = steps;
+  j.priority = priority;
+  return j;
+}
+
+TEST(ServiceSoak, UniformMixKeepsTwoJobsInFlight) {
+  // Four identical 2-rank jobs on a 4-rank pool: the service must
+  // multiplex them, not run them one after another.
+  const ScopedUnsetEnv elastic_off("CA_AGCM_SERVICE_ELASTIC");
+  EnsembleService svc(pool_options(temp_dir("uniform")));
+  std::vector<int> ids;
+  for (int i = 0; i < 4; ++i)
+    ids.push_back(
+        svc.submit(original_job("uniform" + std::to_string(i), 4, {1, 2, 1},
+                                0)));
+  svc.drain();
+  for (int id : ids) EXPECT_EQ(svc.state(id), JobState::kCompleted);
+  const util::Json report = svc.report();
+  EXPECT_EQ(validate_report(report), "");
+  EXPECT_GE(report.find("service")->find("max_concurrent_jobs")->as_double(),
+            2.0)
+      << "the uniform mix never had 2 jobs in flight";
+}
+
+TEST(ServiceSoak, ElasticityRaisesUtilizationUnderABurst) {
+  // A high-priority burst pins half the pool while a wide, preemptible
+  // exact-mode CA job waits for its full shape.  With elasticity off the
+  // other half idles for the whole burst; with it on the CA job is
+  // squeezed onto the idle ranks (pz kept, so it stays bitwise) and the
+  // measured utilization must be strictly higher.  This is the only
+  // measurement behind the elastic option.
+  const ScopedUnsetEnv elastic_env("CA_AGCM_SERVICE_ELASTIC");
+  const std::string dir = temp_dir("burst");
+  const JobSpec burst = original_job("burst", 12, {1, 2, 1}, 10);
+  JobSpec caj;
+  caj.name = "ca_wide";
+  caj.core = CoreKind::kCA;
+  caj.config = soak_config();
+  caj.ca_options = exact_ca_options();
+  caj.dims = {1, 2, 2};
+  caj.steps = 3;
+  caj.priority = 0;
+  caj.checkpoint_every = 1;
+  const state::State reference = solo_run(caj, dir + "/solo_ca");
+
+  double utilization[2] = {0.0, 0.0};
+  for (const bool elastic : {false, true}) {
+    SCOPED_TRACE(elastic ? "elastic on" : "elastic off");
+    ServiceOptions opt = pool_options(dir);
+    opt.elastic = elastic;
+    EnsembleService svc(opt);
+    const int B = svc.submit(burst);
+    // The burst must hold its ranks before the wide job arrives, so the
+    // baseline really strands the other half of the budget.
+    await_running(svc, B);
+    const int C = svc.submit(caj);
+    svc.drain();
+    const JobResult rc = svc.result(C);
+    ASSERT_EQ(rc.state, JobState::kCompleted) << rc.error;
+    expect_bitwise(rc.final_state, reference, caj.name);
+    if (elastic) {
+      EXPECT_GE(svc.counters().elastic_shrinks, 1u)
+          << "the wide CA job was never squeezed";
+    }
+    utilization[elastic] =
+        svc.report().find("service")->find("utilization")->as_double();
+  }
+  EXPECT_GT(utilization[1], utilization[0])
+      << "elasticity did not raise utilization under the burst";
 }
 
 TEST(ServiceSoak, ConcurrentShutdownIsSafe) {
@@ -880,11 +971,10 @@ TEST(ServiceSoak, AgingBoundsLowPriorityWaitUnderABimodalMix) {
 }
 
 TEST(ServiceSoak, RetryCompletesAfterTransientFault) {
-  // A narrowly scoped low-probability corrupt rule with a seed chosen (by
-  // scanning, see bench/bench_service_throughput.cpp) so that attempt 1
-  // (seed) injects at least one corruption — the attempt dies with a
-  // ChecksumError — while the reseeded attempt 2 (seed + 1) injects
-  // nothing and completes.  The service's retry-with-backoff must carry
+  // A narrowly scoped low-probability corrupt rule with a seed chosen by
+  // scanning (kTransientSeed) so that attempt 1 (seed) injects at least
+  // one corruption — the attempt dies with a ChecksumError — while the
+  // reseeded attempt 2 (seed + 1) injects nothing and completes.  The service's retry-with-backoff must carry
   // the job to kCompleted with the solo-run state, bit for bit.
   const core::DycoreConfig cfg = soak_config();
   const std::string dir = temp_dir("retry");

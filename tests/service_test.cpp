@@ -305,6 +305,53 @@ TEST(Service, SweepsStaleTmpCheckpointsAtStartup) {
   fs::remove_all(dir);
 }
 
+TEST(Service, CompletedJobsTakeTheirCheckpointFilesAlong) {
+  // A completed job never resumes, so its base files and delta chain are
+  // removed with it; a failed job keeps its files for the postmortem.
+  namespace fs = std::filesystem;
+  const auto dir = fs::temp_directory_path() / "ca_service_done_files";
+  fs::remove_all(dir);
+  ServiceOptions opt;
+  opt.slots = 1;
+  opt.rank_budget = 1;
+  opt.checkpoint_dir = dir.string();
+  opt.obs.dump_dir = dir.string();
+  opt.delta_chain = 8;
+  opt.numeric_retry = 0;
+  EnsembleService svc(opt);
+
+  JobSpec done = tiny_spec();
+  done.name = "done";
+  done.steps = 4;
+  done.checkpoint_every = 1;
+  done.initial.kind = state::InitialCondition::kRestIsothermal;  // chains
+  // A NaN poked into the state after step 2 trips the sentinel; with no
+  // numeric retries the job fails, keeping its step-1 and step-2 files.
+  JobSpec failed = done;
+  failed.name = "failed";
+  failed.faults = comm::FaultPlan(5u);
+  comm::FaultRule poke;
+  poke.kind = comm::FaultKind::kCorruptState;
+  poke.step = 2;
+  failed.faults.add_rule(poke);
+  const int D = svc.submit(done);
+  const int F = svc.submit(failed);
+  svc.drain();
+  ASSERT_EQ(svc.state(D), JobState::kCompleted) << svc.result(D).error;
+  ASSERT_EQ(svc.state(F), JobState::kFailed);
+
+  auto files_of = [&](int id) {
+    const std::string stem = "ca_service_job" + std::to_string(id) + ".rank";
+    int n = 0;
+    for (const auto& e : fs::directory_iterator(dir))
+      n += e.path().filename().string().rfind(stem, 0) == 0;
+    return n;
+  };
+  EXPECT_EQ(files_of(D), 0) << "a completed job left checkpoint files";
+  EXPECT_GT(files_of(F), 0) << "a failed job lost its checkpoint files";
+  fs::remove_all(dir);
+}
+
 TEST(Report, OlderSchemaTagsAreRejected) {
   // Only the current schema validates: a report whose content is complete
   // but whose tag names an older revision fails on the tag alone.
@@ -356,7 +403,7 @@ TEST(Service, ReportValidatesAgainstItsSchema) {
   const util::Json doc = svc.report();
   EXPECT_EQ(validate_report(doc), "");
   // The report must survive a serialize/parse round trip unchanged in
-  // validity (what the bench writes to disk and re-checks).
+  // validity (a report written to disk is read back this way).
   EXPECT_EQ(validate_report(util::Json::parse(doc.dump(2))), "");
   const util::Json* svc_obj = doc.find("service");
   ASSERT_NE(svc_obj, nullptr);

@@ -123,15 +123,19 @@ TEST(ShallowWater, ParallelMatchesSerial) {
       auto s = core.make_state();
       core.initialize(s, SweInitial::kGravityWave);
       run(core, s, 10);
-      double m = 0.0;
+      // !(|a - b| < bound) counts a NaN as a miss.
+      int misses = 0;
+      auto close = [&](double a, double b) {
+        misses += !(std::abs(a - b) < 1e-10);
+      };
       for (int j = 0; j < core.decomp().lny(); ++j)
         for (int i = 0; i < cfg.nx; ++i) {
           const int gj = core.decomp().gj(j);
-          m = std::max(m, std::abs(s.h(i, j) - ref.h(i, gj)));
-          m = std::max(m, std::abs(s.u(i, j) - ref.u(i, gj)));
-          m = std::max(m, std::abs(s.v(i, j) - ref.v(i, gj)));
+          close(s.h(i, j), ref.h(i, gj));
+          close(s.u(i, j), ref.u(i, gj));
+          close(s.v(i, j), ref.v(i, gj));
         }
-      EXPECT_LT(m, 1e-10) << "py = " << py;
+      EXPECT_EQ(misses, 0) << "py = " << py;
     });
   }
 }
